@@ -58,6 +58,6 @@ fn main() {
         "\nPaper totals: 2193.0 billion type checks, 8836.3 billion bounds checks, 124 issues;\n\
          ~1.1% of type checks on legacy pointers.  Synthetic workloads are far smaller, so the\n\
          absolute counts differ; the benchmarks with zero issues and the issue classes per\n\
-         benchmark match the paper (see EXPERIMENTS.md)."
+         benchmark match the paper."
     );
 }

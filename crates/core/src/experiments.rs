@@ -3,8 +3,7 @@
 //!
 //! Each function runs the synthetic workloads under the requested
 //! sanitizers and returns structured results; the `bench` crate's binaries
-//! format them as the corresponding table/figure and `EXPERIMENTS.md`
-//! records paper-vs-measured values.
+//! format them as the corresponding table/figure.
 
 use std::collections::BTreeMap;
 

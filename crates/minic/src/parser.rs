@@ -19,11 +19,23 @@ pub fn parse(source: &str) -> Result<Unit, CompileError> {
     Parser::new(tokens).parse_unit()
 }
 
+/// The deepest nesting the parser accepts, counted in nested statements
+/// plus nested sub-expressions (each parenthesis, unary operator, call
+/// argument, index, assignment right-hand side and `?:` else-branch is
+/// one level).  Deeper input is a parse error instead of a stack overflow
+/// in the recursive-descent parser or in lowering: at this depth a debug
+/// build still compiles on a 2 MiB thread stack, where a parenthesis level
+/// costs about 16 KiB.  The bundled workload and example sources nest at
+/// most 7 levels.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     /// Known record tags → the keyword they were introduced with.
     record_tags: HashMap<String, RecordKeyword>,
+    /// Current nesting level (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -32,7 +44,25 @@ impl Parser {
             tokens,
             pos: 0,
             record_tags: HashMap::new(),
+            depth: 0,
         }
+    }
+
+    /// Run `parse` one nesting level deeper, failing with a parse error
+    /// that names the limit once [`MAX_NESTING_DEPTH`] is reached.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            return Err(self.error(format!(
+                "nesting exceeds the maximum depth of {MAX_NESTING_DEPTH}"
+            )));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
     }
 
     // ---------------------------------------------------------------
@@ -505,6 +535,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.nested(Self::parse_stmt_inner)
+    }
+
+    fn parse_stmt_inner(&mut self) -> Result<Stmt, CompileError> {
         let loc = self.loc();
         match self.peek().clone() {
             TokenKind::Punct(Punct::LBrace) => {
@@ -716,7 +750,7 @@ impl Parser {
         match self.peek() {
             TokenKind::Punct(Punct::Assign) => {
                 self.bump();
-                let rhs = self.parse_assignment()?;
+                let rhs = self.nested(Self::parse_assignment)?;
                 Ok(Expr::Assign {
                     lhs: Box::new(lhs),
                     rhs: Box::new(rhs),
@@ -733,7 +767,7 @@ impl Parser {
                     TokenKind::Punct(Punct::StarAssign) => BinOp::Mul,
                     _ => BinOp::Div,
                 };
-                let rhs = self.parse_assignment()?;
+                let rhs = self.nested(Self::parse_assignment)?;
                 Ok(Expr::Assign {
                     lhs: Box::new(lhs.clone()),
                     rhs: Box::new(Expr::Binary {
@@ -755,7 +789,7 @@ impl Parser {
             let loc = cond.loc();
             let then_expr = self.parse_expr()?;
             self.expect_punct(Punct::Colon)?;
-            let else_expr = self.parse_conditional()?;
+            let else_expr = self.nested(Self::parse_conditional)?;
             Ok(Expr::Conditional {
                 cond: Box::new(cond),
                 then_expr: Box::new(then_expr),
@@ -818,6 +852,10 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Expr, CompileError> {
+        self.nested(Self::parse_unary_inner)
+    }
+
+    fn parse_unary_inner(&mut self) -> Result<Expr, CompileError> {
         let loc = self.loc();
         match self.peek().clone() {
             TokenKind::Punct(Punct::Minus) => {

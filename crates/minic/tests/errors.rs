@@ -127,3 +127,79 @@ fn errors_never_escape_as_panics_on_fuzzy_inputs() {
         let _ = compile(src);
     }
 }
+
+/// Run `f` on a thread with a 2 MiB stack — the size of a default Rust
+/// test or spawned thread — so a recursion that only fits the larger
+/// main-thread stack fails here.
+fn on_small_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(scope, f)
+            .expect("spawn small-stack thread")
+            .join()
+            .expect("compile overflowed or panicked on a 2 MiB stack")
+    })
+}
+
+/// `int main() { return <n × "(">1<n × ")">; }`.
+fn nested_parens(n: usize) -> String {
+    format!(
+        "int main() {{ return {}1{}; }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    )
+}
+
+/// `int main() { <n × "{"> <n × "}"> return 0; }`.
+fn nested_blocks(n: usize) -> String {
+    format!(
+        "int main() {{ {}{} return 0; }}",
+        "{".repeat(n),
+        "}".repeat(n)
+    )
+}
+
+/// `int main() { int x = 1; return <n × "~ ">x; }` — unlike parentheses,
+/// every level is an AST node that lowering recurses through.
+fn nested_unary(n: usize) -> String {
+    format!("int main() {{ int x = 1; return {}x; }}", "~ ".repeat(n))
+}
+
+fn assert_depth_error(src: &str) {
+    let err = expect_error(src);
+    assert_eq!(err.kind, ErrorKind::Parse, "{err}");
+    assert!(
+        err.message
+            .contains(&minic::parser::MAX_NESTING_DEPTH.to_string()),
+        "the error should name the depth limit: {err}"
+    );
+}
+
+#[test]
+fn pathological_nesting_is_a_parse_error_not_a_stack_overflow() {
+    on_small_stack(|| {
+        assert_depth_error(&nested_parens(5_000));
+        assert_depth_error(&nested_blocks(100_000));
+    });
+}
+
+#[test]
+fn the_deepest_accepted_nesting_parses_and_lowers_on_a_small_stack() {
+    let limit = minic::parser::MAX_NESTING_DEPTH;
+    for nest in [nested_parens, nested_blocks, nested_unary] {
+        on_small_stack(|| {
+            let deepest = (0..=limit)
+                .rev()
+                .find(|&n| compile(&nest(n)).is_ok())
+                .expect("shallow nesting compiles");
+            // The enclosing function body and `return` cost a level or
+            // two; the limit is otherwise the nesting the source shows.
+            assert!(
+                deepest + 3 >= limit,
+                "only {deepest} of {limit} levels accepted"
+            );
+            assert_depth_error(&nest(deepest + 1));
+        });
+    }
+}

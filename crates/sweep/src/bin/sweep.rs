@@ -5,7 +5,7 @@
 //! thread-parallel run.
 //!
 //! ```text
-//! sweep [--workers N] [--strategy static|queue] [--benchmarks a,b,c]
+//! sweep [--workers N] [--benchmarks a,b,c]
 //!       [--backends list] [--scale test|small|ref] [--experiment spec|tools]
 //!       [--max-attempts N] [--tcp-workers addr,addr]
 //!       [--shard-timeout-ms N] [--silence-timeout-ms N] [--check] [--json]
@@ -47,7 +47,6 @@ use workloads::{Scale, SpecBenchmark};
 
 struct Options {
     workers: usize,
-    strategy: ShardStrategy,
     benchmarks: Option<Vec<String>>,
     backends: Vec<SanitizerKind>,
     scale: Scale,
@@ -72,7 +71,7 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sweep [--workers N] [--strategy static|queue] [--benchmarks a,b,c] \
+        "usage: sweep [--workers N] [--benchmarks a,b,c] \
          [--backends list] [--scale test|small|ref] [--experiment spec|tools] \
          [--max-attempts N] [--tcp-workers addr,addr] [--shard-timeout-ms N] \
          [--silence-timeout-ms N] [--check] [--json]\n\
@@ -89,7 +88,6 @@ fn usage() -> ! {
 fn parse_options() -> Options {
     let mut opts = Options {
         workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(4)),
-        strategy: ShardStrategy::default(),
         benchmarks: None,
         backends: default_backends(),
         scale: Scale::Small,
@@ -133,12 +131,6 @@ fn parse_options() -> Options {
             "--workers" => {
                 opts.workers = value(&mut args, "--workers").parse().unwrap_or_else(|e| {
                     eprintln!("sweep: bad --workers value: {e}");
-                    usage();
-                })
-            }
-            "--strategy" => {
-                opts.strategy = value(&mut args, "--strategy").parse().unwrap_or_else(|e| {
-                    eprintln!("sweep: {e}");
                     usage();
                 })
             }
@@ -509,7 +501,7 @@ fn main() {
     };
     let config = SweepConfig {
         workers: opts.workers,
-        strategy: opts.strategy,
+        strategy: ShardStrategy::WorkQueue,
         max_attempts: opts.max_attempts,
         scale: opts.scale,
         parallelism: Parallelism::from_env(),
@@ -538,8 +530,8 @@ fn main() {
                 std::process::exit(1);
             });
         println!(
-            "§6.2 tool comparison, sharded across {} workers ({:?})",
-            config.workers, config.strategy
+            "§6.2 tool comparison, sharded across {} workers",
+            config.workers
         );
         println!(
             "{:<26} {:>12} {:>16}",
@@ -599,12 +591,11 @@ fn main() {
         println!("{}", sweep::json::experiment_report_json(&sharded, None));
     } else {
         println!(
-            "spec experiment at {:?}, {} benchmarks × {} backends, {} workers ({:?})",
+            "spec experiment at {:?}, {} benchmarks × {} backends, {} workers",
             opts.scale,
             sharded.rows.len(),
             opts.backends.len(),
-            config.workers,
-            config.strategy
+            config.workers
         );
         print_spec_table_header();
         for row in &sharded.rows {

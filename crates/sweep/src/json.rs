@@ -12,23 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use effective_san::{SpecExperiment, SpecRow};
 use san_api::{Diagnostic, SanitizerKind};
 
-/// Escape a string for a JSON string literal (quotes, backslashes,
-/// control characters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use obs::json_escape;
 
 /// Render one diagnostic as a JSON object (the wire format's `diag`
 /// fields, JSON-spelled).

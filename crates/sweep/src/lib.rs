@@ -1,18 +1,19 @@
 //! # sweep
 //!
-//! Process-sharded (benchmark × backend) sweeps: the scaling step after
-//! PR 3's thread-parallel matrix, and the on-ramp to multi-machine runs.
+//! Process-sharded and networked (benchmark × backend) sweeps.
 //!
-//! A **coordinator** ([`sharded_spec_experiment`] /
-//! [`sharded_tool_comparison`], or the `sweep` CLI bin) partitions the
-//! matrix into shards ([`shard::plan_shards`]), spawns worker OS processes
-//! (the `sweep_worker` bin, or `SAN_WORKER=1` re-exec), and speaks a
-//! versioned line-oriented protocol ([`wire`]) over their stdin/stdout.
-//! Workers run each shard through the ordinary in-process pipeline and
-//! stream typed results back; the coordinator reassigns the shard of any
-//! crashed or misbehaving worker to a fresh process (bounded by
-//! [`SweepConfig::max_attempts`]) and merges the fragments into the same
-//! `SpecRow`/`SpecExperiment` shapes the in-process sweep produces.
+//! One scheduler ([`serve`]) runs every sweep.  A **one-shot sweep**
+//! ([`sharded_spec_experiment`] / [`sharded_tool_comparison`], or the
+//! `sweep` CLI) builds a private scheduler over worker OS processes (the
+//! `sweep_worker` bin, or `SAN_WORKER=1` re-exec) or a TCP worker fleet,
+//! and submits the matrix as one request; the **`sweep serve` daemon**
+//! keeps one scheduler alive for many streaming clients.  Either way the
+//! matrix is partitioned into shards ([`shard::plan_shards`]), shipped to
+//! workers over a versioned line-oriented protocol ([`wire`]), re-queued
+//! onto a fresh worker when one crashes or misbehaves (bounded by
+//! [`SweepConfig::max_attempts`]), and merged one benchmark at a time
+//! into the same `SpecRow`/`SpecExperiment` shapes the in-process sweep
+//! produces.
 //!
 //! Because every per-backend run owns an isolated simulated address space,
 //! sharding changes *where* a cell of the matrix executes but never *what*

@@ -1,21 +1,30 @@
-//! The `sweep serve` daemon: a long-running coordinator that accepts
-//! sweep requests from many concurrent clients over TCP and schedules
-//! their shards across a `sweep_worker` fleet.
+//! The sweep scheduler, and the `sweep serve` daemon built on it: a
+//! long-running coordinator that accepts sweep requests from many
+//! concurrent clients over TCP and schedules their shards across a
+//! `sweep_worker` fleet.
 //!
-//! Architecture: one fleet thread per worker slot holds a persistent
-//! [`WorkerConn`]; one client thread per accepted connection decodes a
-//! [`wire::SweepRequest`], plans its shards with the same
-//! [`crate::shard::plan_shards`] the in-process coordinator uses, and
-//! pushes them onto a **global** work queue all requests share.  Idle
-//! fleet threads pull from that queue (work-stealing), with **result
+//! The scheduler is the only one in the crate.  A one-shot sweep
+//! ([`crate::sharded_spec_experiment`], the `sweep` CLI) builds a private
+//! `Scheduler` with no listeners, submits its matrix as one request and
+//! collects the rows through the same driver the daemon's client threads
+//! use; the daemon keeps one scheduler for its lifetime.
+//!
+//! Architecture: one slot thread per worker slot holds a persistent
+//! [`WorkerConn`]; a request is planned with [`crate::shard::plan_shards`]
+//! and its shards pushed onto a **global** work queue all requests share.
+//! Idle slots pull from that queue (work-stealing), with **result
 //! affinity**: the first worker to run a chunk of a `(request,
 //! benchmark)` pair claims the pair, and its remaining chunks prefer
 //! that worker — stolen only when a thief has nothing else to do, which
 //! moves the claim wholesale.
 //!
-//! Fleet slots come in two kinds.  **Dial-out** slots are the static
-//! `--tcp-workers` list: their fleet threads redial forever (under the
-//! shared [`Backoff`] schedule), so the slot is permanently live.
+//! Every slot runs the same loop; its `SlotKind` decides where its
+//! worker comes from and what a failed attempt costs.  **Pipe** and
+//! **TCP** slots serve one-shot sweeps: a pipe slot respawns its worker
+//! process after every failure, a TCP slot whose address refuses a
+//! connection retires for the rest of the sweep.  **Dial-out** slots are
+//! the daemon's static `--tcp-workers` list: they redial forever (under
+//! the shared [`Backoff`] schedule), so the slot is permanently live.
 //! **Registered** slots are created at runtime when a `sweep_worker
 //! --join` process dials the daemon's `--register-listen` address: the
 //! slot joins the fleet immediately (picking up already-queued jobs)
@@ -41,12 +50,12 @@
 //! failed shard is re-queued under the request's `max_attempts` budget; a
 //! shard that exhausts it fails only its own request (`sfail`), never the
 //! daemon.  A dead or silent worker's connection is torn down and
-//! re-established by its fleet thread (dial-out) or retired (registered);
-//! a client that disconnects mid-stream has its request cancelled and its
+//! re-established by its slot (dial-out) or retired (registered); a
+//! client that disconnects mid-stream has its request cancelled and its
 //! queued shards dropped.
 //!
-//! Fault isolation: a panic in one client or fleet thread fails only the
-//! affected request — fleet threads convert panics into failed shard
+//! Fault isolation: a panic in one client or slot thread fails only the
+//! affected request — slot threads convert panics into failed shard
 //! attempts, client threads answer theirs with a structured `sfail` —
 //! and the shared board recovers from mutex poisoning instead of letting
 //! one dead thread wedge every other request behind a poisoned lock.
@@ -60,14 +69,15 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use effective_san::{Parallelism, SpecRow};
+use effective_san::{Parallelism, SpecExperiment, SpecRow};
 use obs::{sweep_tracer, Counter, Gauge, Histogram};
 use workloads::{Scale, SpecBenchmark};
 
 use crate::backoff::Backoff;
-use crate::net::{token_from_env, AttemptError, TcpTransport, WorkerConn};
-use crate::shard::{merge_experiment, plan_shards, Shard};
-use crate::wire::{self, IoLines, LineSource, ServiceEvent, ShardSpec};
+use crate::coordinator::WorkerLaunch;
+use crate::net::{token_from_env, AttemptError, PipeTransport, TcpTransport, WorkerConn};
+use crate::shard::{merge_experiment, plan_shards, MergeError, Shard};
+use crate::wire::{self, IoLines, LineSource, ServiceEvent, ShardSpec, SweepRequest};
 
 /// Configuration of a [`serve_forever`] daemon.
 #[derive(Clone, Debug)]
@@ -145,7 +155,20 @@ struct Job {
     attempts: usize,
 }
 
-/// What a fleet thread reports back to a request's client thread.
+impl Job {
+    fn spec(&self) -> ShardSpec {
+        ShardSpec {
+            id: self.shard.id,
+            chunk: self.shard.chunk,
+            scale: self.scale,
+            parallelism: self.parallelism,
+            benchmark: self.shard.benchmark.clone(),
+            backends: self.shard.backends.clone(),
+        }
+    }
+}
+
+/// What a slot reports back to a request's driver.
 enum JobOutcome {
     /// One chunk's fragment, ready for per-benchmark merging.
     Fragment {
@@ -153,8 +176,59 @@ enum JobOutcome {
         chunk: usize,
         row: SpecRow,
     },
-    /// A shard ran out of attempts; the whole request fails.
-    Exhausted { benchmark: String, message: String },
+    /// The request cannot complete.
+    Failed(RequestFailure),
+}
+
+/// Why a request ended without all of its rows.
+pub(crate) enum RequestFailure {
+    /// A shard ran out of attempts.
+    Exhausted {
+        shard_id: usize,
+        benchmark: String,
+        attempts: usize,
+        /// The last attempt's failure.
+        error: AttemptError,
+    },
+    /// No slot is left that could run the request's queued work.
+    Stranded(String),
+    /// A benchmark's fragments did not reassemble.
+    Merge {
+        benchmark: String,
+        error: MergeError,
+    },
+    /// The row consumer went away (a client hung up mid-stream).
+    ClientGone,
+}
+
+impl std::fmt::Display for RequestFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RequestFailure::Exhausted {
+                benchmark,
+                attempts,
+                error,
+                ..
+            } => write!(
+                f,
+                "shard of benchmark `{benchmark}` failed after {attempts} attempts: {}",
+                error.message()
+            ),
+            RequestFailure::Stranded(message) => f.write_str(message),
+            RequestFailure::Merge { benchmark, .. } => write!(
+                f,
+                "merging benchmark `{benchmark}` failed: worker fragments disagree"
+            ),
+            RequestFailure::ClientGone => f.write_str("the client hung up mid-stream"),
+        }
+    }
+}
+
+/// A request whose shards are on the board, with the channel its
+/// outcomes arrive on.
+struct Submitted {
+    jobs: usize,
+    outcomes: mpsc::Receiver<JobOutcome>,
 }
 
 /// Progress of one live request, maintained alongside its result channel
@@ -182,10 +256,9 @@ struct Board {
     cancelled: HashSet<u64>,
 }
 
-/// What the admission gate decided for one incoming request.
-enum Admission {
-    /// Queue it.
-    Proceed,
+/// Why the admission gate turned one incoming request away.
+#[derive(Debug)]
+enum Rejection {
     /// Turn it away with a structured `busy` frame.
     Busy {
         retry_after_ms: u64,
@@ -193,6 +266,87 @@ enum Admission {
     },
     /// The daemon is draining; answer with a structured `sfail`.
     ShuttingDown,
+}
+
+/// Where a slot's worker sessions come from.  The kind alone decides
+/// what a failed attempt costs ([`SlotKind::on_failure`]).
+#[derive(Clone)]
+pub(crate) enum SlotKind {
+    /// A one-shot sweep's worker process, spawned and spoken to over
+    /// stdio pipes; respawned after every failure.
+    Pipe {
+        launch: WorkerLaunch,
+        env: Vec<(String, String)>,
+    },
+    /// A one-shot sweep's `sweep_worker --listen` address: one that
+    /// refuses a connection is gone for the rest of the sweep.
+    Tcp(String),
+    /// A daemon's `--tcp-workers` address, redialled forever.
+    DialOut(String),
+    /// A worker that dialled the daemon's registration port; its slot
+    /// retires when the connection dies.
+    Registered,
+}
+
+/// What one failed shard attempt costs a slot.
+struct FailureCost {
+    /// Charge the job's attempt budget.
+    burn: bool,
+    /// Wait out the slot's backoff before taking the next job.
+    back_off: bool,
+    /// Leave the fleet.
+    retire: bool,
+}
+
+impl SlotKind {
+    /// The cost of a failed attempt.  A connect failure (which never
+    /// reached a worker) is free only for a dial-out slot, whose worker
+    /// may just be restarting; it retires a one-shot TCP slot and is an
+    /// ordinary failure for a pipe slot.  A failed shard always burns an
+    /// attempt, retires a registered slot, and backs off before the next
+    /// one-shot attempt.
+    fn on_failure(&self, failure: &AttemptError) -> FailureCost {
+        let connect = matches!(failure, AttemptError::Spawn(_));
+        let (burn, back_off, retire) = match self {
+            SlotKind::Pipe { .. } => (true, true, false),
+            SlotKind::Tcp(_) => (true, !connect, connect),
+            SlotKind::DialOut(_) => (!connect, connect, false),
+            SlotKind::Registered => (true, false, true),
+        };
+        FailureCost {
+            burn,
+            back_off,
+            retire,
+        }
+    }
+
+    /// Open a fresh worker session: spawn-and-handshake for a pipe slot,
+    /// connect-and-handshake for a TCP one.  A registered slot cannot
+    /// reconnect; its worker has to dial in again.
+    fn connect(
+        &self,
+        silence: Option<Duration>,
+        token: Option<&str>,
+    ) -> Result<WorkerConn, String> {
+        let transport: Box<dyn crate::net::Transport> = match self {
+            SlotKind::Pipe { launch, env } => Box::new(PipeTransport::new(launch.spawn(env)?)),
+            SlotKind::Tcp(addr) | SlotKind::DialOut(addr) => Box::new(
+                TcpTransport::connect(addr, Some(Duration::from_secs(10)))
+                    .map_err(|e| e.to_string())?,
+            ),
+            SlotKind::Registered => return Err("the registered worker has departed".to_string()),
+        };
+        WorkerConn::establish(transport, silence, token)
+    }
+
+    /// The slot's address as the stats and traces show it.
+    fn label(&self) -> &str {
+        match self {
+            SlotKind::Pipe { .. } => "pipe",
+            SlotKind::Tcp(addr) | SlotKind::DialOut(addr) => addr,
+            SlotKind::Registered => "registered",
+        }
+    }
 }
 
 /// Lock-cheap live telemetry for one worker slot: every field is an
@@ -344,11 +498,37 @@ impl Scheduler {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
+    /// Put the board into draining mode: admission stops, and each slot
+    /// gets the drain signal from [`Scheduler::next_for`] once the queue
+    /// is empty and nothing is in flight.  Returns `false` when the board
+    /// was already draining.  The flag flips under the board lock, so a
+    /// slot between its drain check and its wait cannot miss the wakeup
+    /// and sit out the poll interval.
+    fn drain(&self) -> bool {
+        let board = self.lock_board();
+        let first = !self.shutting_down.swap(true, Ordering::SeqCst);
+        drop(board);
+        self.work_ready.notify_all();
+        first
+    }
+
+    /// No slot is left that could run the queued work: drop it and fail
+    /// every live request with `message`.
+    fn strand(&self, message: &str) {
+        let mut board = self.lock_board();
+        board.queue.clear();
+        for tx in board.requests.values() {
+            let _ = tx.send(JobOutcome::Failed(RequestFailure::Stranded(
+                message.to_string(),
+            )));
+        }
+    }
+
     /// Flip the daemon into draining mode (idempotent): stop admitting,
     /// wake every parked loop, and — when no worker could ever drain the
     /// queue — fail the pending requests instead of hanging them.
     fn initiate_shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
+        if !self.drain() {
             return;
         }
         eprintln!("sweep serve: shutdown requested; draining in-flight work");
@@ -357,16 +537,8 @@ impl Scheduler {
             &[("live_workers", self.live_workers().into())],
         );
         if self.live_workers() == 0 {
-            let mut board = self.lock_board();
-            board.queue.clear();
-            for tx in board.requests.values() {
-                let _ = tx.send(JobOutcome::Exhausted {
-                    benchmark: "*".to_string(),
-                    message: "daemon is shutting down with no live workers".to_string(),
-                });
-            }
+            self.strand("daemon is shutting down with no live workers");
         }
-        self.work_ready.notify_all();
         // Accept loops block in `incoming()`; a throwaway self-connect
         // makes them return once so they can observe the flag.
         let wake = self
@@ -383,9 +555,9 @@ impl Scheduler {
     /// `(request, benchmark)` this slot already claimed, then an
     /// unclaimed one (claiming it), then — with nothing better to do —
     /// steal a claimed pair wholesale.  Blocks until work arrives;
-    /// `None` is the drain signal (the daemon is shutting down and
-    /// every job has been delivered), upon which the fleet thread
-    /// releases its worker and exits.
+    /// `None` is the drain signal (the board is draining and every job
+    /// has been delivered), upon which the slot releases its worker and
+    /// exits.
     fn next_for(&self, slot: usize) -> Option<Job> {
         let mut board = self.lock_board();
         loop {
@@ -462,28 +634,31 @@ impl Scheduler {
         }
         drop(board);
         // The drain condition (`in_flight == 0`) may have just become
-        // true; parked fleet threads need to wake to see it.
+        // true; parked slots need to wake to see it.
         if self.shutting_down() {
             self.work_ready.notify_all();
         }
     }
 
-    /// One shard attempt failed: burn an attempt (unless the failure
-    /// never reached the worker), then exhaust the request or put the
-    /// job back on the queue for any slot to take over.
-    fn finish_failure(&self, slot: usize, mut job: Job, burned: bool, message: String) {
+    /// One shard attempt failed: burn an attempt (when the slot kind
+    /// charges this failure), then exhaust the request or put the job
+    /// back on the queue for any slot to take over.
+    fn finish_failure(&self, slot: usize, mut job: Job, burned: bool, error: AttemptError) {
         if burned {
             job.attempts += 1;
         }
         if job.attempts >= self.options.max_attempts {
             self.deliver(
                 job.req_id,
-                JobOutcome::Exhausted {
-                    benchmark: job.shard.benchmark.clone(),
-                    message,
-                },
+                JobOutcome::Failed(RequestFailure::Exhausted {
+                    shard_id: job.shard.id,
+                    benchmark: job.shard.benchmark,
+                    attempts: job.attempts,
+                    error,
+                }),
             );
         } else {
+            let message = error.message();
             sweep_tracer().event(
                 "serve_requeue",
                 &[
@@ -509,18 +684,18 @@ impl Scheduler {
 
     /// Gate one incoming request carrying `incoming_jobs` planned shards
     /// against the admission bounds, under the caller's board lock.
-    fn admission(&self, board: &Board, incoming_jobs: usize) -> Admission {
+    fn admission(&self, board: &Board, incoming_jobs: usize) -> Result<(), Rejection> {
         if self.shutting_down() {
-            return Admission::ShuttingDown;
+            return Err(Rejection::ShuttingDown);
         }
         let pending = board.requests.len();
         let retry_after_ms = (100 + 50 * pending as u64).min(1_000);
         if let Some(max_pending) = self.options.max_pending {
             if pending >= max_pending {
-                return Admission::Busy {
+                return Err(Rejection::Busy {
                     retry_after_ms,
                     message: format!("{pending} requests already pending (limit {max_pending})"),
-                };
+                });
             }
         }
         if let Some(max_queued) = self.options.max_queued_jobs {
@@ -529,16 +704,110 @@ impl Scheduler {
             // one alone bigger than the bound — otherwise it could never
             // run at all.
             if load > 0 && load + incoming_jobs > max_queued {
-                return Admission::Busy {
+                return Err(Rejection::Busy {
                     retry_after_ms,
                     message: format!(
                         "{load} jobs already queued or running, {incoming_jobs} more would \
                          exceed the limit of {max_queued}"
                     ),
-                };
+                });
             }
         }
-        Admission::Proceed
+        Ok(())
+    }
+
+    /// Plan `request` over `width` slots and queue its shards.  Admission
+    /// and enqueue share one board lock, so two requests arriving
+    /// together cannot race past a bound.
+    fn submit(
+        &self,
+        req_id: u64,
+        request: &SweepRequest,
+        width: usize,
+    ) -> Result<Submitted, Rejection> {
+        let shards = plan_shards(&request.benchmarks, &request.backends, width);
+        let jobs = shards.len();
+        let (tx, outcomes) = mpsc::channel();
+        let mut board = self.lock_board();
+        self.admission(&board, jobs)?;
+        board.requests.insert(req_id, tx);
+        board.progress.insert(
+            req_id,
+            Progress {
+                benchmarks: request.benchmarks.len() as u64,
+                jobs_total: jobs as u64,
+                jobs_done: 0,
+            },
+        );
+        board.queue.extend(shards.into_iter().map(|shard| Job {
+            req_id,
+            scale: request.scale,
+            parallelism: request.parallelism,
+            shard,
+            attempts: 0,
+        }));
+        drop(board);
+        self.work_ready.notify_all();
+        Ok(Submitted { jobs, outcomes })
+    }
+
+    /// Collect a submitted request's outcomes.  As soon as every chunk
+    /// of one benchmark has arrived, the fragments are merged (through
+    /// [`merge_experiment`], one benchmark at a time) and the row handed
+    /// to `on_row` with its request-order index; `on_row` returns `false`
+    /// when its consumer is gone.
+    fn collect(
+        &self,
+        submitted: Submitted,
+        request: &SweepRequest,
+        mut on_row: impl FnMut(usize, SpecRow) -> bool,
+    ) -> Result<(), RequestFailure> {
+        // The planner gives every benchmark the same number of chunks.
+        let chunks_per_bench = (submitted.jobs / request.benchmarks.len().max(1)).max(1);
+        let index_of: HashMap<&str, usize> = request
+            .benchmarks
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.as_str(), i))
+            .collect();
+        let mut fragments: HashMap<String, Vec<(String, usize, SpecRow)>> = HashMap::new();
+        for _ in 0..submitted.jobs {
+            let (benchmark, chunk, row) = match submitted.outcomes.recv() {
+                Ok(JobOutcome::Fragment {
+                    benchmark,
+                    chunk,
+                    row,
+                }) => (benchmark, chunk, row),
+                Ok(JobOutcome::Failed(failure)) => return Err(failure),
+                // Every sender is gone with fragments still owed: the
+                // daemon is shutting down.
+                Err(_) => {
+                    return Err(RequestFailure::Stranded(
+                        "sweep service shut down mid-request".to_string(),
+                    ))
+                }
+            };
+            let parts = fragments.entry(benchmark.clone()).or_default();
+            parts.push((benchmark.clone(), chunk, row));
+            if parts.len() < chunks_per_bench {
+                continue;
+            }
+            let parts = fragments.remove(&benchmark).expect("entry just filled");
+            let mut merged = merge_experiment(
+                request.scale,
+                std::slice::from_ref(&benchmark),
+                &request.backends,
+                parts,
+            )
+            .map_err(|error| RequestFailure::Merge {
+                benchmark: benchmark.clone(),
+                error,
+            })?;
+            if !on_row(index_of[benchmark.as_str()], merged.rows.remove(0)) {
+                return Err(RequestFailure::ClientGone);
+            }
+        }
+        Ok(())
     }
 
     fn cancel(&self, req_id: u64) {
@@ -627,63 +896,36 @@ impl Scheduler {
         }
     }
 
-    /// One dial-out fleet thread: own (and re-own) a connection to
-    /// `addr`, run pulled jobs on it, re-queue failures.  Reconnect
-    /// attempts back off under the shared jittered schedule instead of
-    /// hammering a worker that is down.
-    fn fleet_dialout(&self, slot: usize, addr: &str) {
+    /// One slot: pull a job, run it on the slot's worker session
+    /// (connecting first when there is none), then deliver the fragment
+    /// or charge the failure as the slot's kind dictates.  Returns on the
+    /// drain signal, releasing the worker, or when the slot retires.
+    fn slot_loop(&self, slot: usize, kind: SlotKind, mut conn: Option<WorkerConn>) {
         let telemetry = self.telemetry(slot);
-        let mut conn: Option<WorkerConn> = None;
         let mut backoff = Backoff::from_env(0xD1A1_0007 ^ slot as u64);
-        loop {
-            let Some(job) = self.next_for(slot) else {
-                // Drained: release the worker politely and exit.
-                if let Some(live) = conn.take() {
-                    live.shutdown();
-                }
-                return;
-            };
-            let spec = ShardSpec {
-                id: job.shard.id,
-                chunk: job.shard.chunk,
-                scale: job.scale,
-                parallelism: job.parallelism,
-                benchmark: job.shard.benchmark.clone(),
-                backends: job.shard.backends.clone(),
-            };
+        while let Some(job) = self.next_for(slot) {
+            let spec = job.spec();
             // A panic anywhere in the attempt (connection handling, the
-            // wire decoder, shard plumbing) must not kill this fleet
-            // thread with the job checked out — that would shrink the
-            // fleet forever and wedge the job's request.  Convert it to a
-            // failed attempt so the normal retry/exhaust path fails only
-            // the affected request.
+            // wire decoder, shard plumbing) must not kill this slot with
+            // the job checked out — that would shrink the fleet forever
+            // and wedge the job's request.  Convert it to a failed attempt
+            // so the normal retry/exhaust path fails only the affected
+            // request.
             telemetry.busy.set(1);
             let attempt_started = Instant::now();
-            let attempt = catch_unwind(AssertUnwindSafe(|| match &mut conn {
-                Some(live) => live.run_shard(
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                if conn.is_none() {
+                    let mut fresh = kind
+                        .connect(self.options.silence_timeout, self.options.token.as_deref())
+                        .map_err(AttemptError::Spawn)?;
+                    fresh.observe_heartbeats(telemetry.hb_gaps.clone());
+                    conn = Some(fresh);
+                }
+                conn.as_mut().expect("connected above").run_shard(
                     &spec,
                     self.options.shard_timeout,
                     self.options.silence_timeout,
-                ),
-                None => match TcpTransport::connect(addr, Some(Duration::from_secs(10)))
-                    .map_err(|e| e.to_string())
-                    .and_then(|t| {
-                        WorkerConn::establish(
-                            Box::new(t),
-                            self.options.silence_timeout,
-                            self.options.token.as_deref(),
-                        )
-                    }) {
-                    Ok(mut live) => {
-                        live.observe_heartbeats(telemetry.hb_gaps.clone());
-                        conn.insert(live).run_shard(
-                            &spec,
-                            self.options.shard_timeout,
-                            self.options.silence_timeout,
-                        )
-                    }
-                    Err(e) => Err(AttemptError::Spawn(e)),
-                },
+                )
             }))
             .unwrap_or_else(|payload| {
                 Err(AttemptError::Failed(format!(
@@ -692,7 +934,7 @@ impl Scheduler {
                 )))
             });
             telemetry.busy.set(0);
-            match attempt {
+            let failure = match attempt {
                 Ok((chunk, row)) => {
                     backoff.reset();
                     telemetry.completed.inc();
@@ -702,113 +944,68 @@ impl Scheduler {
                     self.deliver(
                         job.req_id,
                         JobOutcome::Fragment {
-                            benchmark: job.shard.benchmark.clone(),
+                            benchmark: job.shard.benchmark,
                             chunk,
                             row,
                         },
-                    )
+                    );
+                    continue;
                 }
-                Err(failure) => {
-                    telemetry.failed.inc();
-                    if let Some(dead) = conn.take() {
-                        dead.kill();
-                    }
-                    // Connect failures leave the shard's attempt budget
-                    // alone — the worker may just be restarting, and
-                    // another fleet thread can steal the job meanwhile.
-                    let burned = !matches!(failure, AttemptError::Spawn(_));
-                    self.finish_failure(slot, job, burned, failure.message());
-                    if !burned {
-                        // Do not spin reconnect attempts hot.
-                        std::thread::sleep(backoff.next_delay());
-                    }
-                }
+                Err(failure) => failure,
+            };
+            telemetry.failed.inc();
+            // The session (if any) is in an unknown protocol state:
+            // replace it before anyone retries.
+            if let Some(dead) = conn.take() {
+                dead.kill();
             }
+            let cost = kind.on_failure(&failure);
+            let message = failure.message();
+            self.finish_failure(slot, job, cost.burn, failure);
+            if cost.retire {
+                self.retire(slot, &telemetry, &message);
+                return;
+            }
+            if cost.back_off {
+                std::thread::sleep(backoff.next_delay());
+            }
+        }
+        // Drained: release the worker politely and exit.
+        telemetry.live.set(0);
+        if let Some(live) = conn.take() {
+            live.shutdown();
+        }
+        if telemetry.registered {
+            eprintln!(
+                "sweep serve: registered worker {} released at shutdown",
+                telemetry.addr
+            );
         }
     }
 
-    /// One registered fleet slot: run pulled jobs on the worker that
-    /// dialled in, until its connection dies — then re-queue the
-    /// in-flight shard (burning an attempt of its budget), mark the slot
-    /// dead, and exit.  The worker rejoining creates a fresh slot.
-    fn fleet_registered(&self, slot: usize, telemetry: Arc<WorkerTelemetry>, conn: WorkerConn) {
-        let mut conn = Some(conn);
-        loop {
-            let Some(job) = self.next_for(slot) else {
-                telemetry.live.set(0);
-                if let Some(live) = conn.take() {
-                    live.shutdown();
-                }
-                eprintln!(
-                    "sweep serve: registered worker {} released at shutdown",
-                    telemetry.addr
-                );
-                return;
-            };
-            let spec = ShardSpec {
-                id: job.shard.id,
-                chunk: job.shard.chunk,
-                scale: job.scale,
-                parallelism: job.parallelism,
-                benchmark: job.shard.benchmark.clone(),
-                backends: job.shard.backends.clone(),
-            };
-            telemetry.busy.set(1);
-            let attempt_started = Instant::now();
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                conn.as_mut()
-                    .expect("registered connection live")
-                    .run_shard(
-                        &spec,
-                        self.options.shard_timeout,
-                        self.options.silence_timeout,
-                    )
-            }))
-            .unwrap_or_else(|payload| {
-                Err(AttemptError::Failed(format!(
-                    "fleet thread panicked while running the shard: {}",
-                    panic_message(payload.as_ref())
-                )))
-            });
-            telemetry.busy.set(0);
-            match attempt {
-                Ok((chunk, row)) => {
-                    telemetry.completed.inc();
-                    telemetry
-                        .latency
-                        .record(attempt_started.elapsed().as_micros() as u64);
-                    self.deliver(
-                        job.req_id,
-                        JobOutcome::Fragment {
-                            benchmark: job.shard.benchmark.clone(),
-                            chunk,
-                            row,
-                        },
-                    )
-                }
-                Err(failure) => {
-                    telemetry.failed.inc();
-                    telemetry.live.set(0);
-                    if let Some(dead) = conn.take() {
-                        dead.kill();
-                    }
-                    let message = failure.message();
-                    eprintln!(
-                        "sweep serve: registered worker {} departed: {message}",
-                        telemetry.addr
-                    );
-                    sweep_tracer().event(
-                        "serve_worker_depart",
-                        &[
-                            ("slot", slot.into()),
-                            ("addr", telemetry.addr.as_str().into()),
-                            ("error", message.as_str().into()),
-                        ],
-                    );
-                    self.finish_failure(slot, job, true, message);
-                    return;
-                }
-            }
+    /// Take a slot out of the fleet after its worker failed for good.  A
+    /// fleet that cannot grow (no registration listener) and has no live
+    /// slot left can never run the queued work, so it is stranded.
+    fn retire(&self, slot: usize, telemetry: &WorkerTelemetry, message: &str) {
+        telemetry.live.set(0);
+        if telemetry.registered {
+            eprintln!(
+                "sweep serve: registered worker {} departed: {message}",
+                telemetry.addr
+            );
+        }
+        sweep_tracer().event(
+            "serve_worker_depart",
+            &[
+                ("slot", slot.into()),
+                ("addr", telemetry.addr.as_str().into()),
+                ("error", message.into()),
+            ],
+        );
+        if self.options.register_listen.is_none() && self.live_workers() == 0 {
+            self.strand(&format!(
+                "every TCP worker became unreachable with work remaining; last error: {message}"
+            ));
         }
     }
 
@@ -903,70 +1100,34 @@ impl Scheduler {
             return;
         }
 
-        let shards = plan_shards(
-            &request.benchmarks,
-            &request.backends,
-            self.live_workers().max(1),
-        );
-        let chunks_per_bench = shards
-            .iter()
-            .filter(|s| s.benchmark == request.benchmarks[0])
-            .count()
-            .max(1);
-        let total_jobs = shards.len();
-        let (tx, rx) = mpsc::channel();
-        {
-            // Admission and enqueue under one board lock: the bound
-            // cannot be raced past by two clients arriving together.
-            let mut board = self.lock_board();
-            match self.admission(&board, total_jobs) {
-                Admission::Proceed => {}
-                Admission::ShuttingDown => {
-                    drop(board);
-                    self.requests_failed.inc();
-                    send(&wire::encode_service_event(&ServiceEvent::Failed {
-                        message: "sweep service is shutting down".to_string(),
-                    }));
-                    return;
-                }
-                Admission::Busy {
-                    retry_after_ms,
-                    message,
-                } => {
-                    drop(board);
-                    self.rejected_busy.inc();
-                    eprintln!("sweep serve: request {req_id} turned away busy: {message}");
-                    sweep_tracer().event(
-                        "serve_busy_reject",
-                        &[
-                            ("req", req_id.into()),
-                            ("retry_after_ms", retry_after_ms.into()),
-                            ("message", message.as_str().into()),
-                        ],
-                    );
-                    send(&[wire::encode_busy(retry_after_ms, &message)]);
-                    return;
-                }
+        let submitted = match self.submit(req_id, &request, self.live_workers().max(1)) {
+            Ok(submitted) => submitted,
+            Err(Rejection::ShuttingDown) => {
+                self.requests_failed.inc();
+                send(&wire::encode_service_event(&ServiceEvent::Failed {
+                    message: "sweep service is shutting down".to_string(),
+                }));
+                return;
             }
-            board.requests.insert(req_id, tx);
-            board.progress.insert(
-                req_id,
-                Progress {
-                    benchmarks: request.benchmarks.len() as u64,
-                    jobs_total: total_jobs as u64,
-                    jobs_done: 0,
-                },
-            );
-            for shard in shards {
-                board.queue.push_back(Job {
-                    req_id,
-                    scale: request.scale,
-                    parallelism: request.parallelism,
-                    shard,
-                    attempts: 0,
-                });
+            Err(Rejection::Busy {
+                retry_after_ms,
+                message,
+            }) => {
+                self.rejected_busy.inc();
+                eprintln!("sweep serve: request {req_id} turned away busy: {message}");
+                sweep_tracer().event(
+                    "serve_busy_reject",
+                    &[
+                        ("req", req_id.into()),
+                        ("retry_after_ms", retry_after_ms.into()),
+                        ("message", message.as_str().into()),
+                    ],
+                );
+                send(&[wire::encode_busy(retry_after_ms, &message)]);
+                return;
             }
-        }
+        };
+        let total_jobs = submitted.jobs;
         self.requests_total.inc();
         eprintln!(
             "sweep serve: request {req_id} accepted ({} benchmarks × {} backends, {total_jobs} jobs)",
@@ -982,84 +1143,30 @@ impl Scheduler {
                 ("jobs", total_jobs.into()),
             ],
         );
-        self.work_ready.notify_all();
         if !send(&[wire::encode_accepted(request.benchmarks.len())]) {
             self.cancel_gone_client(req_id, "before the accept line was written");
             return;
         }
 
-        let index_of: HashMap<&str, usize> = request
-            .benchmarks
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.as_str(), i))
-            .collect();
-        let mut fragments: HashMap<String, Vec<(usize, SpecRow)>> = HashMap::new();
-        let mut outcome = Ok(());
-        for _ in 0..total_jobs {
-            let (benchmark, chunk, row) = match rx.recv() {
-                Ok(JobOutcome::Fragment {
-                    benchmark,
-                    chunk,
-                    row,
-                }) => (benchmark, chunk, row),
-                Ok(JobOutcome::Exhausted { benchmark, message }) => {
-                    outcome = Err(format!(
-                        "shard of benchmark `{benchmark}` failed after {} attempts: {message}",
-                        self.options.max_attempts
-                    ));
-                    break;
-                }
-                // Every sender is gone with fragments still owed: the
-                // daemon is shutting down.
-                Err(_) => {
-                    outcome = Err("sweep service shut down mid-request".to_string());
-                    break;
-                }
-            };
-            let parts = fragments.entry(benchmark.clone()).or_default();
-            parts.push((chunk, row));
-            if parts.len() < chunks_per_bench {
-                continue;
-            }
-            // Merge this benchmark's chunks through the same path the
-            // in-process coordinator uses, then stream the row out.
-            let parts = fragments.remove(&benchmark).expect("entry just filled");
-            let merged = merge_experiment(
-                request.scale,
-                std::slice::from_ref(&benchmark),
-                &request.backends,
-                parts
-                    .into_iter()
-                    .map(|(chunk, row)| (benchmark.clone(), chunk, row))
-                    .collect(),
-            );
-            let row = match merged.map(|mut e| e.rows.pop()) {
-                Ok(Some(row)) => row,
-                Ok(None) | Err(_) => {
-                    outcome = Err(format!(
-                        "merging benchmark `{benchmark}` failed: worker fragments disagree"
-                    ));
-                    break;
-                }
-            };
-            let index = index_of[benchmark.as_str()];
-            if !send(&wire::encode_service_event(&ServiceEvent::Row {
+        let outcome = self.collect(submitted, &request, |index, row| {
+            send(&wire::encode_service_event(&ServiceEvent::Row {
                 index,
                 row,
-            })) {
-                // Client hung up mid-stream: stop feeding it.
-                self.cancel_gone_client(req_id, "mid-stream");
-                return;
-            }
-        }
+            }))
+        });
         match outcome {
             Ok(()) => {
                 send(&wire::encode_service_event(&ServiceEvent::Done {
                     rows: request.benchmarks.len(),
                 }));
             }
-            Err(message) => {
+            Err(RequestFailure::ClientGone) => {
+                // Client hung up mid-stream: stop feeding it.
+                self.cancel_gone_client(req_id, "mid-stream");
+                return;
+            }
+            Err(failure) => {
+                let message = failure.to_string();
                 self.requests_failed.inc();
                 eprintln!("sweep serve: request {req_id} failed: {message}");
                 send(&wire::encode_service_event(&ServiceEvent::Failed {
@@ -1126,7 +1233,7 @@ fn register_worker(scheduler: &Scheduler, stream: TcpStream) {
                 &[("slot", slot.into()), ("peer", peer.as_str().into())],
             );
             scheduler.work_ready.notify_all();
-            scheduler.fleet_registered(slot, telemetry, conn);
+            scheduler.slot_loop(slot, SlotKind::Registered, Some(conn));
         }
         Err(e) => {
             // `establish` already answered the worker with a structured
@@ -1203,7 +1310,7 @@ pub fn serve_forever(options: ServeOptions) -> Result<(), crate::SweepError> {
 fn serve_loop(scheduler: &Scheduler, listener: TcpListener, registrations: Option<TcpListener>) {
     std::thread::scope(|scope| {
         for (slot, addr) in scheduler.options.workers.iter().enumerate() {
-            scope.spawn(move || scheduler.fleet_dialout(slot, addr));
+            scope.spawn(move || scheduler.slot_loop(slot, SlotKind::DialOut(addr.clone()), None));
         }
         if let Some(reg) = registrations {
             scope.spawn(move || {
@@ -1282,6 +1389,88 @@ fn serve_loop(scheduler: &Scheduler, listener: TcpListener, registrations: Optio
             }
         }
     });
+}
+
+/// Run one sweep to completion on a private board: submit `request`,
+/// planned over the whole `fleet` (one [`SlotKind`] per configured slot,
+/// at least one), serve it with as many of those slots as it has shards,
+/// and assemble the rows the driver merged into one [`SpecExperiment`].
+/// Once the last row is in (or the request has failed), the board
+/// drains: queued work is dropped, in-flight attempts finish, and every
+/// slot releases its worker and exits.
+pub(crate) fn run_one_shot(
+    options: ServeOptions,
+    request: &SweepRequest,
+    fleet: Vec<SlotKind>,
+) -> Result<SpecExperiment, RequestFailure> {
+    const REQ_ID: u64 = 0;
+    let scheduler = Scheduler::new(options);
+    let submitted = scheduler
+        .submit(REQ_ID, request, fleet.len())
+        .expect("a one-shot board has no admission bounds");
+    let slots = fleet.len().clamp(1, submitted.jobs.max(1));
+    let mut rows: Vec<Option<SpecRow>> = vec![None; request.benchmarks.len()];
+    let outcome = std::thread::scope(|scope| {
+        let scheduler = &scheduler;
+        for kind in fleet.into_iter().take(slots) {
+            let (slot, _) = scheduler.add_slot(kind.label(), false);
+            scope.spawn(move || scheduler.slot_loop(slot, kind, None));
+        }
+        let outcome = scheduler.collect(submitted, request, |index, row| {
+            rows[index] = Some(row);
+            true
+        });
+        scheduler.cancel(REQ_ID);
+        scheduler.drain();
+        outcome
+    });
+
+    // Summarise each slot into the sweep tracer (`SWEEP_TRACE`); one
+    // event per slot even when no heartbeat arrived, so a traced run
+    // always documents its fleet.
+    let tracer = sweep_tracer();
+    if tracer.enabled() {
+        for (slot, t) in scheduler.telemetry_snapshot().iter().enumerate() {
+            let gaps = t.hb_gaps.snapshot().summary();
+            let latency = t.latency.snapshot().summary();
+            tracer.event(
+                "sweep_worker_hb",
+                &[
+                    ("slot", slot.into()),
+                    ("gap_count", gaps.count.into()),
+                    ("gap_min_us", gaps.min.into()),
+                    ("gap_p50_us", gaps.p50.into()),
+                    ("gap_p99_us", gaps.p99.into()),
+                    ("gap_max_us", gaps.max.into()),
+                    ("completed", t.completed.get().into()),
+                    ("failed", t.failed.get().into()),
+                    ("shard_p50_us", latency.p50.into()),
+                    ("shard_p99_us", latency.p99.into()),
+                ],
+            );
+        }
+    }
+
+    outcome?;
+    let rows = rows
+        .into_iter()
+        .zip(&request.benchmarks)
+        .map(|(row, benchmark)| {
+            // Only a benchmark named twice leaves a row unfilled.
+            row.ok_or_else(|| RequestFailure::Merge {
+                benchmark: benchmark.clone(),
+                error: MergeError::Incomplete {
+                    benchmark: benchmark.clone(),
+                    detail: "no fragments".to_string(),
+                },
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(SpecExperiment {
+        scale: request.scale,
+        rows,
+        sanitizers: request.backends.clone(),
+    })
 }
 
 #[cfg(test)]
@@ -1369,10 +1558,7 @@ mod tests {
         s.cancel(7);
         s.deliver(
             7,
-            JobOutcome::Exhausted {
-                benchmark: "mcf".to_string(),
-                message: "gone".to_string(),
-            },
+            JobOutcome::Failed(RequestFailure::Stranded("gone".to_string())),
         );
         let board = s.lock_board();
         assert!(board.cancelled.contains(&7));
@@ -1413,24 +1599,24 @@ mod tests {
         // the whole queue bound (the livelock guard).
         {
             let board = s.lock_board();
-            assert!(matches!(s.admission(&board, 100), Admission::Proceed));
+            assert!(s.admission(&board, 100).is_ok());
         }
         // One job on the queue: the queue bound now bites…
         {
             let mut board = s.lock_board();
             board.queue.push_back(job(1, "mcf"));
             match s.admission(&board, 2) {
-                Admission::Busy {
+                Err(Rejection::Busy {
                     retry_after_ms,
                     message,
-                } => {
+                }) => {
                     assert!(retry_after_ms >= 100);
                     assert!(message.contains("exceed the limit"), "{message}");
                 }
                 _ => panic!("over-bound request on a loaded daemon must be busy"),
             }
             // …but a request that still fits is admitted.
-            assert!(matches!(s.admission(&board, 1), Admission::Proceed));
+            assert!(s.admission(&board, 1).is_ok());
         }
         // A pending request exhausts `max_pending` regardless of size.
         {
@@ -1439,7 +1625,7 @@ mod tests {
             let (tx, _rx) = mpsc::channel();
             board.requests.insert(9, tx);
             match s.admission(&board, 1) {
-                Admission::Busy { message, .. } => {
+                Err(Rejection::Busy { message, .. }) => {
                     assert!(message.contains("pending"), "{message}");
                 }
                 _ => panic!("past max_pending every request is busy"),
@@ -1448,7 +1634,10 @@ mod tests {
         // Shutdown trumps everything.
         s.shutting_down.store(true, Ordering::SeqCst);
         let board = s.lock_board();
-        assert!(matches!(s.admission(&board, 1), Admission::ShuttingDown));
+        assert!(matches!(
+            s.admission(&board, 1),
+            Err(Rejection::ShuttingDown)
+        ));
     }
 
     #[test]
@@ -1466,12 +1655,62 @@ mod tests {
         // after it the fleet gets the drain signal instead of blocking.
         s.deliver(
             1,
-            JobOutcome::Exhausted {
-                benchmark: "mcf".to_string(),
-                message: "done draining".to_string(),
-            },
+            JobOutcome::Failed(RequestFailure::Stranded("done draining".to_string())),
         );
         assert!(s.next_for(0).is_none(), "drained fleet threads exit");
         assert!(s.next_for(1).is_none(), "every slot sees the drain");
+    }
+
+    #[test]
+    fn drain_wakes_parked_slots_without_waiting_out_the_poll() {
+        // A one-shot sweep drains its board after the last row; a slot
+        // parked on an empty queue must see that at once, not after the
+        // 200ms `wait_timeout` that bounds every park.
+        let s = scheduler();
+        std::thread::scope(|scope| {
+            let s = &s;
+            let parked: Vec<_> = (0..2)
+                .map(|slot| scope.spawn(move || s.next_for(slot).is_none()))
+                .collect();
+            // Give the slots time to park.  A slot that has not parked
+            // yet sees the flag on its first check, so the sleep cannot
+            // make the assertion below fail; it only makes it bite.
+            std::thread::sleep(Duration::from_millis(20));
+            let drained = Instant::now();
+            assert!(s.drain(), "the first drain flips the board");
+            for slot in parked {
+                assert!(slot.join().expect("slot thread"), "drain signal, not a job");
+            }
+            assert!(
+                drained.elapsed() < Duration::from_millis(100),
+                "parked slots took {:?} to see the drain",
+                drained.elapsed()
+            );
+        });
+        assert!(!s.drain(), "draining twice is a no-op");
+    }
+
+    #[test]
+    fn slot_kind_alone_prices_a_failed_attempt() {
+        let connect = AttemptError::Spawn("refused".to_string());
+        let shard = AttemptError::Failed("worker died".to_string());
+        let pipe = SlotKind::Pipe {
+            launch: WorkerLaunch::ReExec,
+            env: Vec::new(),
+        };
+        let cost = |kind: &SlotKind, failure: &AttemptError| {
+            let c = kind.on_failure(failure);
+            (c.burn, c.back_off, c.retire)
+        };
+        // (burn an attempt, back off, retire the slot)
+        assert_eq!(cost(&pipe, &connect), (true, true, false));
+        assert_eq!(cost(&pipe, &shard), (true, true, false));
+        let tcp = SlotKind::Tcp("w".to_string());
+        assert_eq!(cost(&tcp, &connect), (true, false, true));
+        assert_eq!(cost(&tcp, &shard), (true, true, false));
+        let dial = SlotKind::DialOut("w".to_string());
+        assert_eq!(cost(&dial, &connect), (false, true, false));
+        assert_eq!(cost(&dial, &shard), (true, false, false));
+        assert_eq!(cost(&SlotKind::Registered, &shard), (true, false, true));
     }
 }

@@ -152,9 +152,9 @@ pub struct ExecStats {
 }
 
 /// The deterministic cost model used alongside wall-clock time for the
-/// Figure 8/10 overhead experiments (see `EXPERIMENTS.md`): every event is
-/// assigned an approximate cycle cost so relative overheads do not depend
-/// on interpreter implementation details.
+/// Figure 8/10 overhead experiments: every event is assigned an
+/// approximate cycle cost so relative overheads do not depend on
+/// interpreter implementation details.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct CostModel {
     /// Cost of an ordinary instruction.
@@ -193,7 +193,7 @@ impl Default for CostModel {
         // allocation noticeably more expensive.  The absolute values are
         // calibrated so the *relative* overheads of the EffectiveSan
         // variants on the synthetic workloads land in the neighbourhood of
-        // Figure 8 (see EXPERIMENTS.md).
+        // Figure 8.
         CostModel {
             instruction: 1.0,
             memory_access: 1.0,

@@ -34,10 +34,10 @@ fn worker_bin() -> WorkerLaunch {
     WorkerLaunch::Bin(PathBuf::from(env!("CARGO_BIN_EXE_sweep_worker")))
 }
 
-fn config(workers: usize, strategy: ShardStrategy) -> SweepConfig {
+fn config(workers: usize) -> SweepConfig {
     SweepConfig {
         workers,
-        strategy,
+        strategy: ShardStrategy::WorkQueue,
         max_attempts: 3,
         scale: Scale::Test,
         parallelism: Parallelism::Parallel,
@@ -79,24 +79,15 @@ fn sharded_sweep_is_byte_identical_to_parallel_and_sequential() {
 
     // 2 workers ≤ 2 benchmarks: one shard per benchmark, pulled from the
     // shared work queue.
-    let sharded_2 = sharded_spec_experiment(
-        Some(&BENCHMARKS),
-        &SanitizerKind::ALL,
-        &config(2, ShardStrategy::WorkQueue),
-    )
-    .expect("2-worker sharded sweep");
+    let sharded_2 = sharded_spec_experiment(Some(&BENCHMARKS), &SanitizerKind::ALL, &config(2))
+        .expect("2-worker sharded sweep");
     assert_identical("sharded(2, queue) vs parallel", &sharded_2, &parallel);
     assert_identical("sharded(2, queue) vs sequential", &sharded_2, &sequential);
 
-    // 4 workers > 2 benchmarks: the planner splits the backend axis too,
-    // and static chunking pins each shard to a worker slot.
-    let sharded_4 = sharded_spec_experiment(
-        Some(&BENCHMARKS),
-        &SanitizerKind::ALL,
-        &config(4, ShardStrategy::Static),
-    )
-    .expect("4-worker sharded sweep");
-    assert_identical("sharded(4, static) vs parallel", &sharded_4, &parallel);
+    // 4 workers > 2 benchmarks: the planner splits the backend axis too.
+    let sharded_4 = sharded_spec_experiment(Some(&BENCHMARKS), &SanitizerKind::ALL, &config(4))
+        .expect("4-worker sharded sweep");
+    assert_identical("sharded(4, queue) vs parallel", &sharded_4, &parallel);
 
     // The merged shape really is the in-process shape: rows in request
     // order, reports in `SanitizerKind::ALL` order.
@@ -119,7 +110,7 @@ fn killed_worker_shard_is_recovered_without_corrupting_results() {
     // The first worker handed an `h264ref` shard dies mid-shard (exit code
     // 101, after the handshake, before any result bytes); the retry on a
     // fresh process must succeed and the merge must come out clean.
-    let mut config = config(2, ShardStrategy::WorkQueue);
+    let mut config = config(2);
     config.worker_env = vec![
         (CRASH_BENCH_ENV.to_string(), "h264ref".to_string()),
         (
@@ -151,7 +142,7 @@ fn killed_worker_shard_is_recovered_without_corrupting_results() {
 
 #[test]
 fn persistently_crashing_shard_surfaces_a_structured_error() {
-    let mut config = config(2, ShardStrategy::WorkQueue);
+    let mut config = config(2);
     config.max_attempts = 2;
     // No once-path: every worker given an `h264ref` shard dies.
     config.worker_env = vec![(CRASH_BENCH_ENV.to_string(), "h264ref".to_string())];
@@ -192,7 +183,7 @@ fn hung_worker_is_timed_out_and_its_shard_recovered() {
     // it; only the shard budget can notice (the process is alive, so
     // there is no EOF).  The worker is torn down, the retry on a fresh
     // process succeeds, and the merge still comes out clean.
-    let mut config = config(2, ShardStrategy::WorkQueue);
+    let mut config = config(2);
     config.shard_timeout = Some(Duration::from_secs(5));
     config.worker_env = vec![
         (HANG_BENCH_ENV.to_string(), "mcf".to_string()),
@@ -226,7 +217,7 @@ fn hung_worker_is_timed_out_and_its_shard_recovered() {
 
 #[test]
 fn persistently_hung_shard_surfaces_shard_timed_out() {
-    let mut config = config(1, ShardStrategy::WorkQueue);
+    let mut config = config(1);
     config.max_attempts = 2;
     config.shard_timeout = Some(Duration::from_millis(500));
     // No once-path: every worker given an `mcf` shard hangs forever.
@@ -253,12 +244,8 @@ fn persistently_hung_shard_surfaces_shard_timed_out() {
 fn single_worker_and_single_benchmark_degenerate_cases_hold() {
     // One worker, one benchmark, backend axis split across 2 chunks by the
     // planner (2 × 1 worker target): still byte-identical.
-    let sharded = sharded_spec_experiment(
-        Some(&["mcf"]),
-        &SanitizerKind::ALL,
-        &config(1, ShardStrategy::Static),
-    )
-    .expect("single-worker sweep");
+    let sharded = sharded_spec_experiment(Some(&["mcf"]), &SanitizerKind::ALL, &config(1))
+        .expect("single-worker sweep");
     let in_process = spec_experiment(
         Some(&["mcf"]),
         Scale::Test,
