@@ -16,12 +16,9 @@
 //! (timing on shared CI runners is noisy, so the comparison is advisory,
 //! never gating); only unreadable or malformed input exits non-zero.
 //!
-//! `perf_smoke --profile [out.json]` runs the same matrix once with the
-//! VM's site profiler enabled and prints the top-N hot check sites and
-//! hot functions (per-site hit/miss/elide/guard-fallback counts, per-
-//! function tier residency), optionally writing the merged profile as
-//! JSON.  Profiling is observational — reports stay bit-identical — but
-//! the sampling costs a few percent, so profile runs are never timed.
+//! The hot-site profile of the same matrix is `table_profile`'s job:
+//! `table_profile --benchmarks mcf,gobmk,astar,xalancbmk none EffectiveSan
+//! EffectiveSan-bounds asan` at the default (Small) scale.
 //!
 //! Caching and interning change *nothing* observable: the deterministic
 //! cost model (`RunReport::cost`) sees identical check counts with or
@@ -31,11 +28,8 @@
 
 use std::time::Instant;
 
-use effective_san::obs::ProfileReport;
 use effective_san::workloads::SpecBenchmark;
-use effective_san::{
-    minic, run_program, run_program_profiled, RunConfig, RunReport, SanitizerKind, Scale,
-};
+use effective_san::{minic, run_program, RunConfig, RunReport, SanitizerKind, Scale};
 use sweep::json::json_escape;
 
 /// The fixed benchmark subset (see module docs).
@@ -66,9 +60,6 @@ fn main() {
             std::process::exit(2);
         };
         std::process::exit(compare(old, new));
-    }
-    if args.first().map(String::as_str) == Some("--profile") {
-        std::process::exit(profile(args.get(1).map(String::as_str)));
     }
     let out_path = args
         .first()
@@ -113,59 +104,6 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
 
     print_summary(&rows, reps, &out_path);
-}
-
-/// How many hot sites / hot functions `--profile` prints.
-const PROFILE_TOP_N: usize = 12;
-
-/// `--profile [out.json]`: run the matrix once with the VM site profiler
-/// on, print the top-[`PROFILE_TOP_N`] hot check sites and functions, and
-/// optionally write the merged profile as JSON.
-fn profile(out_path: Option<&str>) -> i32 {
-    let scale = Scale::Small;
-    let mut merged = ProfileReport::default();
-    for &name in BENCHMARKS {
-        let bench = SpecBenchmark::by_name(name)
-            .unwrap_or_else(|| panic!("unknown perf_smoke benchmark `{name}`"));
-        let source = bench.source(scale);
-        let program = minic::compile(&source)
-            .unwrap_or_else(|e| panic!("workload {name} failed to compile: {e}"));
-        for &backend in BACKENDS {
-            let config = RunConfig {
-                profile: true,
-                ..RunConfig::for_sanitizer(backend)
-            };
-            let (_, prof) = run_program_profiled(&program, "bench_main", &[scale.n()], &config);
-            if let Some(prof) = prof {
-                merged.merge(&prof);
-            }
-        }
-    }
-    println!(
-        "perf_smoke — site/tier profile (scale Small, {} benchmarks × {} backends, top {})\n",
-        BENCHMARKS.len(),
-        BACKENDS.len(),
-        PROFILE_TOP_N
-    );
-    print!("{}", merged.render_table(PROFILE_TOP_N));
-    println!(
-        "\n{} check sites, {} functions, {} tier events",
-        merged.sites.len(),
-        merged.funcs.len(),
-        merged.events.len()
-    );
-    if let Some(path) = out_path {
-        let json = format!(
-            "{{\"schema\":\"effective-san-profile/1\",\"scale\":\"small\",\"profile\":{}}}\n",
-            merged.to_json()
-        );
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("perf_smoke --profile: cannot write {path}: {e}");
-            return 2;
-        }
-        println!("wrote {path}");
-    }
-    0
 }
 
 /// Relative throughput drop that triggers a warning in `--compare` mode.

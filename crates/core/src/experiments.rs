@@ -401,8 +401,8 @@ impl FirefoxExperiment {
 }
 
 /// Run the Firefox-like workload's browser benchmarks, each driver executed
-/// in its own thread (each VM owns an isolated simulated address space; see
-/// DESIGN.md for the threading substitution).
+/// in its own thread (each VM owns an isolated simulated address space,
+/// so the drivers share nothing).
 pub fn firefox_experiment(scale: Scale, parallel: bool) -> FirefoxExperiment {
     let workload = FirefoxWorkload::default();
     let source = workload.source(scale);

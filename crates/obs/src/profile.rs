@@ -2,8 +2,7 @@
 //! per-function tier residency, and tier-transition events.
 //!
 //! The VM's opt-in profiler (see `vm::VmConfig::profile`) fills these
-//! in; the bench binaries (`perf_smoke --profile`, `table_profile`)
-//! merge and render them.  Everything here is ordinary data — no
+//! in; the `table_profile` bench binary merges and renders them.  Everything here is ordinary data — no
 //! atomics — because the VM is single-threaded per instance and merging
 //! happens after runs complete.
 

@@ -108,8 +108,13 @@ impl WorkerLaunch {
     }
 
     /// Spawn one pipe worker process with `env` on top of the inherited
-    /// environment.
-    pub(crate) fn spawn(&self, env: &[(String, String)]) -> Result<Child, String> {
+    /// environment, then [`crate::net::TOKEN_ENV`] set to `token` (or
+    /// removed), so the worker holds exactly the token this side presents.
+    pub(crate) fn spawn(
+        &self,
+        env: &[(String, String)],
+        token: Option<&str>,
+    ) -> Result<Child, String> {
         let mut cmd = match self {
             WorkerLaunch::Bin(path) => ProcessCommand::new(path),
             WorkerLaunch::ReExec => {
@@ -122,8 +127,12 @@ impl WorkerLaunch {
             }
             WorkerLaunch::Tcp(_) => unreachable!("TCP workers are connected, not spawned"),
         };
-        cmd.envs(env.iter().map(|(key, value)| (key, value)))
-            .stdin(Stdio::piped())
+        cmd.envs(env.iter().map(|(key, value)| (key, value)));
+        match token {
+            Some(token) => cmd.env(crate::net::TOKEN_ENV, token),
+            None => cmd.env_remove(crate::net::TOKEN_ENV),
+        };
+        cmd.stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
             .map_err(|e| format!("spawn failed: {e}"))
@@ -151,7 +160,9 @@ pub struct SweepConfig {
     pub worker: WorkerLaunch,
     /// Extra environment variables set on every worker process (on top of
     /// the inherited environment) — used by tests to inject failures and
-    /// by callers to forward `SAN_*` overrides explicitly.
+    /// by callers to forward `SAN_*` overrides explicitly.  Applied before
+    /// [`SweepConfig::token`], which overrides any
+    /// [`crate::net::TOKEN_ENV`] given here.
     pub worker_env: Vec<(String, String)>,
     /// Overall budget for one shard attempt: a worker still holding a
     /// shard past this is torn down and the shard re-queued (consuming an
@@ -165,8 +176,8 @@ pub struct SweepConfig {
     pub silence_timeout: Option<Duration>,
     /// Shared auth token presented to (and required of) every worker —
     /// the wire-v7 `auth` frame.  `None` disables authentication.
-    /// Spawned pipe workers inherit this process's environment, so the
-    /// [`crate::net::TOKEN_ENV`] default matches on both sides.
+    /// Spawned pipe workers get it as their [`crate::net::TOKEN_ENV`]
+    /// (unset for `None`), after [`SweepConfig::worker_env`].
     pub token: Option<String>,
 }
 

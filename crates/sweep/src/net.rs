@@ -1,18 +1,21 @@
 //! Network-capable transports for the coordinator↔worker protocol, plus
 //! the streaming client of the `sweep serve` daemon.
 //!
-//! PR 4 made the wire format line-oriented over *any* byte stream exactly
-//! so the process-sharded sweep could later hop machines; this module is
-//! that hop.  A [`Transport`] carries protocol lines over either a worker
-//! process's stdio pipes ([`PipeTransport`]) or a TCP socket
-//! ([`TcpTransport`]), and a [`WorkerConn`] layers the v4 handshake
-//! (version check + [`wire::Hello`] capabilities), heartbeat-aware read
-//! deadlines, and shard execution on top — the coordinator and the
-//! `sweep serve` daemon drive workers through the same type.
+//! The wire format is line-oriented over *any* byte stream, so the
+//! process-sharded sweep can hop machines; this module is that hop.  A
+//! [`Transport`] carries protocol lines over either a worker process's
+//! stdio pipes ([`PipeTransport`]) or a TCP socket ([`TcpTransport`]),
+//! and a [`WorkerConn`] layers the session opening (handshake version
+//! check, the [`wire::auth_gate`] token gate, [`wire::Hello`]
+//! capabilities), heartbeat-aware read deadlines, and shard execution on
+//! top — the coordinator and the `sweep serve` daemon drive workers
+//! through the same type.
 //!
 //! Reads are pumped through a dedicated thread per connection
 //! ([`LinePump`]) so deadlines work uniformly: blocking pipe reads have no
 //! native timeout, and socket timeouts would tear lines apart mid-read.
+//! The worker side of a session ([`crate::worker`]) reads its peer
+//! through a pump too, for the same reason.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -435,71 +438,52 @@ pub struct WorkerConn {
 }
 
 impl WorkerConn {
-    /// Perform the v4 handshake on a fresh transport: exchange handshake
-    /// lines (rejecting version skew loudly), run the wire-v7 token gate
-    /// in both directions, and read the worker's [`Hello`].  `silence`
+    /// Open a session on a fresh transport: exchange handshake lines
+    /// (rejecting version skew loudly), run the wire-v7 token gate in
+    /// both directions, and read the worker's [`Hello`].  `silence`
     /// bounds each read, so a wedged peer cannot hang the caller.
     ///
     /// When `token` is set, this side sends its `auth` frame right after
-    /// the handshake line and requires a matching one from the worker
-    /// (the worker withholds its hello until it has verified us, so the
-    /// line after its optional `auth` is deterministically either the
-    /// hello or a structured `authfail`).  Error strings never contain
-    /// the token.
+    /// the handshake line and runs [`wire::auth_gate`] over the worker's
+    /// next line.  The worker withholds its hello until it has verified
+    /// us, so the line after its optional `auth` is deterministically
+    /// either the hello or a structured `authfail`.  Error strings never
+    /// contain the token.
     pub fn establish(
         mut transport: Box<dyn Transport>,
         silence: Option<Duration>,
         token: Option<&str>,
     ) -> Result<WorkerConn, String> {
         let result = (|| -> Result<Hello, String> {
-            transport
-                .send_line(wire::HANDSHAKE)
-                .map_err(|e| format!("handshake write: {e}"))?;
-            if let Some(token) = token {
+            let mut opening = vec![wire::HANDSHAKE.to_string()];
+            opening.extend(token.map(wire::encode_auth));
+            for line in &opening {
                 transport
-                    .send_line(&wire::encode_auth(token))
-                    .map_err(|e| format!("auth write: {e}"))?;
+                    .send_line(line)
+                    .map_err(|e| format!("handshake write: {e}"))?;
             }
-            let (peer_token, line) = {
-                let mut lines = DeadlineLines::new(transport.as_mut(), None, silence);
-                match lines.next_line() {
-                    Ok(Some(line)) => wire::check_handshake(&line).map_err(|e| e.to_string())?,
-                    Ok(None) => {
-                        return Err("worker closed the stream before the handshake".to_string())
-                    }
-                    Err(e) => return Err(e.to_string()),
-                }
-                let mut peer_token = None;
-                let mut line = match lines.next_line() {
-                    Ok(Some(line)) => line,
-                    Ok(None) => return Err("worker closed the stream before its hello".to_string()),
-                    Err(e) => return Err(e.to_string()),
-                };
-                if wire::is_auth(&line) {
-                    peer_token = Some(wire::decode_auth(&line).map_err(|e| e.to_string())?);
-                    line = match lines.next_line() {
-                        Ok(Some(line)) => line,
-                        Ok(None) => {
-                            return Err("worker closed the stream before its hello".to_string())
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    };
-                }
-                (peer_token, line)
+            let mut lines = DeadlineLines::new(transport.as_mut(), None, silence);
+            let next = |lines: &mut DeadlineLines, what: &str| match lines.next_line() {
+                Ok(Some(line)) => Ok(line),
+                Ok(None) => Err(format!("worker closed the stream before {what}")),
+                Err(e) => Err(e.to_string()),
             };
-            if let Some(reason) = wire::parse_auth_reject(&line) {
-                return Err(format!("worker rejected this connection: {reason}"));
-            }
-            if let Some(token) = token {
-                if peer_token.as_deref() != Some(token) {
-                    let reason = if peer_token.is_none() {
-                        "peer presented no auth token"
-                    } else {
-                        "auth token mismatch"
-                    };
+            wire::check_handshake(&next(&mut lines, "the handshake")?)
+                .map_err(|e| e.to_string())?;
+            let leftover = match wire::auth_gate(&mut lines, token) {
+                Ok(wire::AuthGate::Accepted { leftover }) => leftover,
+                Ok(wire::AuthGate::Rejected { reason }) => {
                     let _ = transport.send_line(&wire::encode_auth_reject(reason));
                     return Err(format!("worker failed authentication: {reason}"));
                 }
+                Err(e) => return Err(e.to_string()),
+            };
+            let line = match leftover {
+                Some(line) => line,
+                None => next(&mut lines, "its hello")?,
+            };
+            if let Some(reason) = wire::parse_auth_reject(&line) {
+                return Err(format!("worker rejected this connection: {reason}"));
             }
             wire::decode_hello(&line).map_err(|e| e.to_string())
         })();
@@ -810,6 +794,15 @@ fn sweep_once<F: FnMut(usize, &SpecRow)>(
         }
         wire::decode_accepted(&line)?
     };
+    // The count is the daemon's claim: anything but one row per
+    // requested benchmark is rejected before it sizes an allocation.
+    if accepted != request.benchmarks.len() {
+        return Err(ClientError::Wire(WireError::Field {
+            field: "row-count",
+            value: accepted.to_string(),
+            reason: format!("the request has {} benchmarks", request.benchmarks.len()),
+        }));
+    }
     let mut rows: Vec<Option<SpecRow>> = vec![None; accepted];
     let mut lines = DeadlineLines::new(&mut transport, None, None);
     loop {
@@ -912,6 +905,7 @@ pub fn client_shutdown(addr: &str, options: &ClientOptions) -> Result<(), Client
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
 
     #[test]
@@ -1022,5 +1016,42 @@ mod tests {
         );
         drop(transport);
         chatterbox.join().expect("chatterbox thread");
+    }
+
+    #[test]
+    fn client_rejects_an_accepted_count_the_request_cannot_have() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let daemon = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            // 2^40 rows: sized as a row buffer, this aborts the process.
+            writeln!(stream, "{}", wire::HANDSHAKE).expect("write");
+            writeln!(stream, "{}", wire::encode_accepted(1 << 40)).expect("write");
+            let mut sink = String::new();
+            let _ = BufReader::new(stream).read_to_string(&mut sink);
+        });
+        let request = SweepRequest {
+            scale: workloads::Scale::Test,
+            parallelism: effective_san::Parallelism::Sequential,
+            benchmarks: vec!["mcf".to_string()],
+            backends: vec![san_api::SanitizerKind::None],
+        };
+        let options = ClientOptions {
+            token: None,
+            ..ClientOptions::default()
+        };
+        let err = client_sweep_with(&addr.to_string(), &options, &request, |_, _| {})
+            .expect_err("a 2^40-row accept for one benchmark must be refused");
+        assert!(
+            matches!(
+                &err,
+                ClientError::Wire(WireError::Field {
+                    field: "row-count",
+                    ..
+                })
+            ),
+            "{err}"
+        );
+        daemon.join().expect("daemon thread");
     }
 }

@@ -329,7 +329,9 @@ impl SlotKind {
         token: Option<&str>,
     ) -> Result<WorkerConn, String> {
         let transport: Box<dyn crate::net::Transport> = match self {
-            SlotKind::Pipe { launch, env } => Box::new(PipeTransport::new(launch.spawn(env)?)),
+            SlotKind::Pipe { launch, env } => {
+                Box::new(PipeTransport::new(launch.spawn(env, token)?))
+            }
             SlotKind::Tcp(addr) | SlotKind::DialOut(addr) => Box::new(
                 TcpTransport::connect(addr, Some(Duration::from_secs(10)))
                     .map_err(|e| e.to_string())?,

@@ -679,10 +679,12 @@ pub enum AuthGate {
 }
 
 /// Run the wire-v7 token gate over the lines following a peer's
-/// handshake.  A side configured with `local_token` requires the next
-/// line to be a matching [`encode_auth`] frame; a side without one
-/// accepts anything (consuming a stray `auth` line so an authenticated
-/// peer can still talk to an open server).
+/// handshake — the one place any side of any connection judges a
+/// peer's token.  A side configured with `local_token` requires the next
+/// line to be a matching [`encode_auth`] frame (a source whose read
+/// deadline expires first counts as no token at all); a side without
+/// one accepts anything (consuming a stray `auth` line so an
+/// authenticated peer can still talk to an open side).
 pub fn auth_gate<S: LineSource>(
     src: &mut S,
     local_token: Option<&str>,
@@ -695,18 +697,22 @@ pub fn auth_gate<S: LineSource>(
             line => AuthGate::Accepted { leftover: line },
         });
     };
-    let line = next_required(src, "an `auth` line")?;
-    if !is_auth(&line) {
-        return Ok(AuthGate::Rejected {
-            reason: "peer presented no auth token",
-        });
-    }
-    if decode_auth(&line)? != token {
-        return Ok(AuthGate::Rejected {
-            reason: "auth token mismatch",
-        });
-    }
-    Ok(AuthGate::Accepted { leftover: None })
+    let reason = match src.next_line() {
+        Ok(Some(line)) if is_auth(&line) => {
+            if decode_auth(&line)? == token {
+                return Ok(AuthGate::Accepted { leftover: None });
+            }
+            "auth token mismatch"
+        }
+        Ok(Some(_)) | Err(WireError::Timeout { .. }) => "peer presented no auth token",
+        Ok(None) => {
+            return Err(WireError::UnexpectedEof {
+                expected: "an `auth` line",
+            })
+        }
+        Err(e) => return Err(e),
+    };
+    Ok(AuthGate::Rejected { reason })
 }
 
 /// A [`LineSource`] that replays one already-consumed line before
@@ -1099,7 +1105,8 @@ pub fn decode_spec_row<S: LineSource>(src: &mut S) -> Result<SpecRow, WireError>
     let line = next_required(src, "a `row` header")?;
     let f = split_fields(&line, "row", 8)?;
     let n_reports: usize = parse_num("report-count", f[7])?;
-    let mut reports = Vec::with_capacity(n_reports);
+    // The count is the peer's claim: preallocate only a bounded share.
+    let mut reports = Vec::with_capacity(n_reports.min(1024));
     let row = SpecRow {
         name: unescape(f[0])?,
         cpp: f[1] == "1",
@@ -1193,7 +1200,7 @@ pub fn decode_run_report<S: LineSource>(src: &mut S) -> Result<RunReport, WireEr
     let line = next_required(src, "a `diags` line")?;
     let f = split_fields(&line, "diags", 1)?;
     let n_diags: usize = parse_num("diag-count", f[0])?;
-    let mut diagnostics = Vec::with_capacity(n_diags);
+    let mut diagnostics = Vec::with_capacity(n_diags.min(1024));
     for _ in 0..n_diags {
         let line = next_required(src, "a `diag` line")?;
         diagnostics.push(decode_diagnostic(&line)?);

@@ -2,20 +2,25 @@
 //!
 //! A worker is an ordinary OS process (the `sweep_worker` bin, or any bin
 //! re-executed with `SAN_WORKER=1` — the `sweep` CLI does this) that
-//! speaks the [`crate::wire`] protocol over stdin/stdout: handshake, then
-//! a loop of `shard` commands answered with `result` blocks, until `done`
-//! or end-of-input.
+//! speaks the [`crate::wire`] protocol to one peer at a time over its
+//! stdin/stdout ([`run_stdio`]), or to many over TCP: accepted
+//! connections ([`run_listener`]) or a session it dials itself
+//! ([`run_joiner`]).  Every transport runs the same session: handshake,
+//! token gate, hello, then a loop of `shard` commands answered with
+//! `result` blocks (heartbeating while a shard runs), until `done` or
+//! end-of-input.
 //!
 //! Each shard runs through the ordinary in-process sweep
 //! (`effective_san::spec_experiment` restricted to one benchmark and the
-//! shard's backend chunk), so a worker's reports are — by the PR 3
-//! determinism contract — bit-identical to the ones the coordinator would
-//! have produced itself.
+//! shard's backend chunk), so a worker's reports are — by the
+//! determinism contract — bit-identical to the ones the coordinator
+//! would have produced itself.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use effective_san::spec_experiment;
@@ -23,8 +28,8 @@ use san_api::SanitizerKind;
 
 use crate::backoff::Backoff;
 use crate::chaos::{Chaos, LineFate};
-use crate::net::{heartbeat_interval, token_from_env};
-use crate::wire::{self, Command, Hello, IoLines, LineSource, Reply, ShardSpec};
+use crate::net::{heartbeat_interval, token_from_env, LinePump};
+use crate::wire::{self, AuthGate, Command, Hello, LineSource, Reply, ShardSpec, WireError};
 
 /// How long a token-bearing worker waits for the peer's `auth` frame
 /// before rejecting it.  A compliant token-bearing peer sends its auth
@@ -98,7 +103,7 @@ fn maybe_hang(spec: &ShardSpec) {
     }
     // Wedge while holding the shard: the coordinator's shard/silence
     // deadline has to notice — nothing else will, because the process is
-    // alive and (in TCP mode) still heartbeating.
+    // alive and still heartbeating.
     loop {
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -153,144 +158,20 @@ fn run_shard(spec: &ShardSpec) -> Reply {
     }
 }
 
-/// The worker's side of the post-handshake token gate over a blocking
-/// line source.  With a local token, the next line must be a matching
-/// `auth` frame (`Err(reason)` otherwise — the caller sends the
-/// structured `authfail` and exits).  Without one, nothing is read here:
-/// the command loop tolerates a stray leading `auth` line instead, so a
-/// tokenless worker never blocks waiting for a frame that may not come.
-fn gate_peer<S: LineSource>(lines: &mut S, token: Option<&str>) -> Result<(), &'static str> {
-    let Some(token) = token else {
-        return Ok(());
-    };
-    match lines.next_line() {
-        Ok(Some(line)) if wire::is_auth(&line) => match wire::decode_auth(&line) {
-            Ok(presented) if presented == token => Ok(()),
-            _ => Err("auth token mismatch"),
-        },
-        _ => Err("peer presented no auth token"),
-    }
+/// The write half of a worker session.
+trait SessionOutput: Write + Send {
+    /// Cut the connection under the peer: the chaos seam's mid-line drop.
+    /// A pipe has nothing to cut short of the process exiting, which the
+    /// failed session then leads to.
+    fn sever(&mut self) {}
 }
 
-/// Dispose of pre-command stray lines: swallow a leading `auth` frame a
-/// token-bearing peer sent to a tokenless worker, and surface a leading
-/// `authfail` (the peer rejected *us*).  Returns the line to replay into
-/// the command decoder, or `Err` with the exit code.
-fn first_command_line<S: LineSource>(lines: &mut S) -> Result<Option<String>, i32> {
-    match lines.next_line() {
-        Ok(Some(line)) if wire::is_auth(&line) => Ok(None),
-        Ok(Some(line)) => {
-            if let Some(reason) = wire::parse_auth_reject(&line) {
-                eprintln!("sweep_worker: peer rejected this worker: {reason}");
-                return Err(2);
-            }
-            Ok(Some(line))
-        }
-        Ok(None) => Ok(None),
-        Err(e) => {
-            eprintln!("sweep_worker: {e}");
-            Err(2)
-        }
-    }
-}
+impl SessionOutput for std::io::Stdout {}
 
-/// Serve the worker protocol over the given streams until `done` or
-/// end-of-input, with the shared token from [`crate::net::TOKEN_ENV`].
-/// Returns the process exit code (0 on a clean run, 2 on a protocol or
-/// auth error — which is also printed to stderr).
-pub fn serve<R: BufRead, W: Write>(input: R, output: W) -> i32 {
-    serve_with_token(input, output, token_from_env())
-}
-
-/// [`serve`] with an explicit token.  The worker sends its handshake
-/// (plus its own `auth` frame when it carries a token) eagerly, but
-/// withholds its `hello` until the peer has passed the token gate — so
-/// an unauthorized peer receives a structured `authfail` *before* any
-/// capability exchange.
-pub fn serve_with_token<R: BufRead, W: Write>(
-    input: R,
-    mut output: W,
-    token: Option<String>,
-) -> i32 {
-    let mut lines = IoLines::new(input);
-    let mut opening = vec![wire::HANDSHAKE.to_string()];
-    if let Some(token) = &token {
-        opening.push(wire::encode_auth(token));
+impl SessionOutput for &TcpStream {
+    fn sever(&mut self) {
+        let _ = self.shutdown(Shutdown::Both);
     }
-    for line in &opening {
-        if writeln!(output, "{line}").is_err() {
-            return 2;
-        }
-    }
-    if output.flush().is_err() {
-        return 2;
-    }
-    match lines.next_line() {
-        Ok(Some(line)) if line == wire::HANDSHAKE => {}
-        Ok(other) => {
-            eprintln!(
-                "sweep_worker: {}",
-                wire::WireError::Version {
-                    got: other.unwrap_or_else(|| "<eof>".to_string()),
-                }
-            );
-            return 2;
-        }
-        Err(e) => {
-            eprintln!("sweep_worker: {e}");
-            return 2;
-        }
-    }
-    if let Err(reason) = gate_peer(&mut lines, token.as_deref()) {
-        let _ =
-            writeln!(output, "{}", wire::encode_auth_reject(reason)).and_then(|()| output.flush());
-        eprintln!("sweep_worker: rejected peer: {reason}");
-        return 2;
-    }
-    if writeln!(output, "{}", wire::encode_hello(&hello()))
-        .and_then(|()| output.flush())
-        .is_err()
-    {
-        return 2;
-    }
-    let first = match first_command_line(&mut lines) {
-        Ok(first) => first,
-        Err(code) => return code,
-    };
-    let mut lines = wire::PrependedLine::new(first, lines);
-    loop {
-        let command = match wire::decode_command(&mut lines) {
-            Ok(Some(command)) => command,
-            // A vanished coordinator reads as end-of-input: exit cleanly.
-            Ok(None) => return 0,
-            Err(e) => {
-                eprintln!("sweep_worker: {e}");
-                return 2;
-            }
-        };
-        match command {
-            Command::Done => return 0,
-            Command::Shard(spec) => {
-                let reply = run_shard(&spec);
-                for line in wire::encode_reply(&reply) {
-                    if writeln!(output, "{line}").is_err() {
-                        return 2;
-                    }
-                }
-                if output.flush().is_err() {
-                    return 2;
-                }
-            }
-        }
-    }
-}
-
-/// Serve the worker protocol on this process's stdin/stdout — the entire
-/// body of the `sweep_worker` bin and of `SAN_WORKER=1` re-exec mode.
-pub fn run_stdio() -> i32 {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    serve(stdin.lock(), stdout.lock())
 }
 
 /// Write a block of protocol lines atomically (one lock, one flush) so a
@@ -302,149 +183,179 @@ pub fn run_stdio() -> i32 {
 /// exactly like a slow worker) or the connection severed after a random
 /// prefix of the line — a mid-block, mid-line truncation from the
 /// peer's point of view.
-fn send_block(writer: &Mutex<TcpStream>, lines: &[String]) -> bool {
-    let mut stream = writer.lock().expect("worker writer lock");
+fn send_block<W: SessionOutput>(writer: &Mutex<W>, lines: &[String]) -> bool {
+    let mut out = writer.lock().expect("worker writer lock");
     for line in lines {
         match Chaos::global().map(|plan| plan.fate(line.len())) {
             Some(LineFate::Drop { keep_bytes }) => {
-                let _ = stream.write_all(&line.as_bytes()[..keep_bytes]);
-                let _ = stream.flush();
-                let _ = stream.shutdown(Shutdown::Both);
+                let _ = out.write_all(&line.as_bytes()[..keep_bytes]);
+                let _ = out.flush();
+                out.sever();
                 return false;
             }
             Some(LineFate::DeliverAfter(wait)) => std::thread::sleep(wait),
             Some(LineFate::Deliver) | None => {}
         }
-        if writeln!(stream, "{line}").is_err() {
+        if writeln!(out, "{line}").is_err() {
             return false;
         }
     }
-    stream.flush().is_ok()
+    out.flush().is_ok()
 }
 
-/// Serve one coordinator connection over TCP with the token from
-/// [`crate::net::TOKEN_ENV`]: the same protocol as [`serve`], plus
-/// periodic heartbeats (cadence from [`crate::net::HEARTBEAT_ENV`])
-/// emitted while a shard is executing so the peer's silence deadline can
-/// tell a slow shard from a dead worker.
-pub fn serve_tcp(stream: TcpStream) -> i32 {
-    serve_tcp_with(stream, token_from_env())
+/// [`LineSource`] over a [`LinePump`], each read bounded by `timeout`
+/// (`None` = block).
+struct PumpLines {
+    pump: LinePump,
+    timeout: Option<Duration>,
 }
 
-/// [`serve_tcp`] with an explicit token.  Same gate ordering as
-/// [`serve_with_token`]; the gate read is additionally bounded by
-/// a 5-second timeout so a tokenless peer that (correctly) sends
-/// nothing after its handshake is rejected promptly instead of both
-/// sides sitting out their silence budgets.
-pub fn serve_tcp_with(stream: TcpStream, token: Option<String>) -> i32 {
-    let Ok(write_half) = stream.try_clone() else {
-        return 2;
-    };
-    let writer = Arc::new(Mutex::new(write_half));
-    let mut lines = IoLines::new(BufReader::new(stream));
-    let mut opening = vec![wire::HANDSHAKE.to_string()];
-    if let Some(token) = &token {
-        opening.push(wire::encode_auth(token));
+impl LineSource for PumpLines {
+    fn next_line(&mut self) -> Result<Option<String>, WireError> {
+        self.pump.recv(self.timeout)
     }
+}
+
+/// How often the heartbeat thread looks at the shard-in-flight flag.
+const TICK: Duration = Duration::from_millis(25);
+
+/// Emit heartbeats (cadence from [`crate::net::HEARTBEAT_ENV`]) while a
+/// shard is executing (`active`), so the peer's silence deadline can
+/// tell a slow shard from a dead worker; returns once `stop` hangs up.
+fn heartbeat<W: SessionOutput>(writer: &Mutex<W>, active: &AtomicBool, stop: Receiver<()>) {
+    let interval = heartbeat_interval();
+    let mut seq = 0u64;
+    let mut last = Instant::now() - interval;
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval.min(TICK)) {
+        if active.load(Ordering::SeqCst) && last.elapsed() >= interval {
+            if !send_block(writer, &[wire::encode_heartbeat(seq)]) {
+                return;
+            }
+            seq += 1;
+            last = Instant::now();
+        }
+    }
+}
+
+/// Serve one peer until `done` or end of input: the one worker session,
+/// whatever the transport.  Returns the exit code (0 on a clean run, 2
+/// on a protocol or auth error — which is also printed to stderr).
+///
+/// The worker sends its handshake (plus its own `auth` frame when it
+/// carries a token) eagerly.  A token-bearing worker then runs
+/// [`wire::auth_gate`] over the peer's next line, bounded by
+/// [`AUTH_GATE_TIMEOUT`], and withholds its `hello` until the peer
+/// passed — so an unauthorized peer receives a structured `authfail`
+/// before any capability exchange.  A tokenless worker says hello
+/// first (its peer sends nothing more until it has the hello) and runs
+/// the gate unbounded, which swallows a stray `auth` line.
+fn session<R, W>(input: R, output: W, token: Option<&str>) -> i32
+where
+    R: BufRead + Send + 'static,
+    W: SessionOutput,
+{
+    let writer = Mutex::new(output);
+    let mut lines = PumpLines {
+        pump: LinePump::spawn(input),
+        timeout: None,
+    };
+    let mut opening = vec![wire::HANDSHAKE.to_string()];
+    opening.extend(token.map(wire::encode_auth));
     if !send_block(&writer, &opening) {
         return 2;
     }
-    match lines.next_line() {
-        Ok(Some(line)) if line == wire::HANDSHAKE => {}
-        Ok(other) => {
-            eprintln!(
-                "sweep_worker: {}",
-                wire::WireError::Version {
-                    got: other.unwrap_or_else(|| "<eof>".to_string()),
-                }
-            );
+    let opened = lines
+        .next_line()
+        .and_then(|line| wire::check_handshake(line.as_deref().unwrap_or("<eof>")));
+    if let Err(e) = opened {
+        eprintln!("sweep_worker: {e}");
+        return 2;
+    }
+    let greeting = [wire::encode_hello(&hello())];
+    if token.is_none() && !send_block(&writer, &greeting) {
+        return 2;
+    }
+    lines.timeout = token.map(|_| AUTH_GATE_TIMEOUT);
+    let leftover = match wire::auth_gate(&mut lines, token) {
+        Ok(AuthGate::Accepted { leftover }) => leftover,
+        Ok(AuthGate::Rejected { reason }) => {
+            let _ = send_block(&writer, &[wire::encode_auth_reject(reason)]);
+            eprintln!("sweep_worker: rejected peer: {reason}");
             return 2;
         }
         Err(e) => {
             eprintln!("sweep_worker: {e}");
             return 2;
         }
-    }
-    if token.is_some() {
-        let gated = {
-            // The timeout is set through the write half, but applies to
-            // the shared underlying socket.
-            let timeout_handle = writer.lock().expect("worker writer lock");
-            let _ = timeout_handle.set_read_timeout(Some(AUTH_GATE_TIMEOUT));
-            drop(timeout_handle);
-            let gated = gate_peer(&mut lines, token.as_deref());
-            let timeout_handle = writer.lock().expect("worker writer lock");
-            let _ = timeout_handle.set_read_timeout(None);
-            gated
-        };
-        if let Err(reason) = gated {
-            let _ = send_block(&writer, &[wire::encode_auth_reject(reason)]);
-            eprintln!("sweep_worker: rejected peer: {reason}");
-            return 2;
-        }
-    }
-    if !send_block(&writer, &[wire::encode_hello(&hello())]) {
+    };
+    lines.timeout = None;
+    if token.is_some() && !send_block(&writer, &greeting) {
         return 2;
     }
-    let first = match first_command_line(&mut lines) {
-        Ok(first) => first,
-        Err(code) => return code,
-    };
-    let mut lines = wire::PrependedLine::new(first, lines);
-
-    // Heartbeat thread: ticks fast, beats at the configured cadence, and
-    // only while a shard is actually in flight (`active`).
-    let running = Arc::new(AtomicBool::new(true));
-    let active = Arc::new(AtomicBool::new(false));
-    let beat = {
-        let writer = Arc::clone(&writer);
-        let running = Arc::clone(&running);
-        let active = Arc::clone(&active);
-        std::thread::spawn(move || {
-            let interval = heartbeat_interval();
-            let mut seq = 0u64;
-            let mut last = Instant::now() - interval;
-            while running.load(Ordering::SeqCst) {
-                if active.load(Ordering::SeqCst) && last.elapsed() >= interval {
-                    if !send_block(&writer, &[wire::encode_heartbeat(seq)]) {
-                        break;
-                    }
-                    seq += 1;
-                    last = Instant::now();
-                }
-                std::thread::sleep(interval.min(Duration::from_millis(25)));
-            }
-        })
-    };
-    let finish = |code: i32| {
-        running.store(false, Ordering::SeqCst);
-        code
-    };
-
-    let code = loop {
-        let command = match wire::decode_command(&mut lines) {
-            Ok(Some(command)) => command,
-            // A vanished coordinator reads as end-of-stream: exit cleanly
-            // (the listener will accept its replacement).
-            Ok(None) => break finish(0),
+    let first = match leftover {
+        Some(line) => Some(line),
+        None => match lines.next_line() {
+            Ok(line) => line,
             Err(e) => {
                 eprintln!("sweep_worker: {e}");
-                break finish(2);
+                return 2;
             }
-        };
-        match command {
-            Command::Done => break finish(0),
-            Command::Shard(spec) => {
-                active.store(true, Ordering::SeqCst);
-                let reply = run_shard(&spec);
-                active.store(false, Ordering::SeqCst);
-                if !send_block(&writer, &wire::encode_reply(&reply)) {
-                    break finish(2);
+        },
+    };
+    if let Some(reason) = first.as_deref().and_then(wire::parse_auth_reject) {
+        eprintln!("sweep_worker: peer rejected this worker: {reason}");
+        return 2;
+    }
+    let mut lines = wire::PrependedLine::new(first, lines);
+
+    let active = AtomicBool::new(false);
+    let (stop, stopped) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let (writer, active) = (&writer, &active);
+        scope.spawn(move || heartbeat(writer, active, stopped));
+        let code = loop {
+            let command = match wire::decode_command(&mut lines) {
+                Ok(Some(command)) => command,
+                // A vanished peer reads as end-of-input: exit cleanly.
+                Ok(None) => break 0,
+                Err(e) => {
+                    eprintln!("sweep_worker: {e}");
+                    break 2;
+                }
+            };
+            match command {
+                Command::Done => break 0,
+                Command::Shard(spec) => {
+                    active.store(true, Ordering::SeqCst);
+                    let reply = run_shard(&spec);
+                    active.store(false, Ordering::SeqCst);
+                    if !send_block(writer, &wire::encode_reply(&reply)) {
+                        break 2;
+                    }
                 }
             }
-        }
+        };
+        drop(stop);
+        code
+    })
+}
+
+/// Serve the worker protocol on this process's stdin/stdout, with the
+/// token from [`crate::net::TOKEN_ENV`] — the entire body of the
+/// `sweep_worker` bin and of `SAN_WORKER=1` re-exec mode.
+pub fn run_stdio() -> i32 {
+    let input = BufReader::new(std::io::stdin());
+    session(input, std::io::stdout(), token_from_env().as_deref())
+}
+
+/// Serve one peer over a TCP connection, then close it (which also ends
+/// the session's reader thread).
+fn serve_stream(stream: TcpStream, token: Option<&str>) -> i32 {
+    let Ok(read_half) = stream.try_clone() else {
+        return 2;
     };
-    let _ = beat.join();
+    let code = session(BufReader::new(read_half), &stream, token);
+    let _ = stream.shutdown(Shutdown::Both);
     code
 }
 
@@ -475,7 +386,7 @@ pub fn run_listener(addr: &str, token: Option<String>) -> i32 {
         match stream {
             Ok(stream) => {
                 let token = token.clone();
-                std::thread::spawn(move || serve_tcp_with(stream, token));
+                std::thread::spawn(move || serve_stream(stream, token.as_deref()));
             }
             Err(e) => eprintln!("sweep_worker: accept failed: {e}"),
         }
@@ -497,7 +408,7 @@ pub fn run_joiner(addr: &str, token: Option<String>) -> i32 {
     loop {
         match TcpStream::connect(addr) {
             Ok(stream) => {
-                if serve_tcp_with(stream, token.clone()) == 0 {
+                if serve_stream(stream, token.as_deref()) == 0 {
                     // A clean session (daemon drained us out politely):
                     // the next reconnect attempt starts fresh.
                     backoff.reset();
@@ -515,7 +426,47 @@ mod tests {
     use crate::wire::SliceLines;
     use effective_san::Parallelism;
     use san_api::SanitizerKind;
+    use std::io::{Cursor, Read};
     use workloads::Scale;
+
+    impl SessionOutput for &mut Vec<u8> {}
+
+    /// The session's output without heartbeat lines, whose number
+    /// depends on how long a shard happened to take.
+    fn without_heartbeats(output: &[u8]) -> String {
+        let text = String::from_utf8(output.to_vec()).unwrap();
+        text.lines()
+            .filter(|line| !wire::is_heartbeat(line))
+            .map(|line| format!("{line}\n"))
+            .collect()
+    }
+
+    /// Run one session over an in-memory input; its exit code and
+    /// output (heartbeats dropped).
+    fn serve_in_memory(input: &str, token: Option<&str>) -> (i32, String) {
+        let mut output = Vec::new();
+        let code = session(Cursor::new(input.as_bytes().to_vec()), &mut output, token);
+        (code, without_heartbeats(&output))
+    }
+
+    /// Run one session over a loopback TCP connection fed `input`; its
+    /// exit code and output (heartbeats dropped).  The client keeps its
+    /// write half open, so the worker sees no end of input before it
+    /// ends the session itself.
+    fn serve_over_tcp(input: &str, token: Option<&str>) -> (i32, String) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let token = token.map(str::to_string);
+        let worker = std::thread::spawn(move || serve_stream(stream, token.as_deref()));
+        client.write_all(input.as_bytes()).expect("write input");
+        let mut output = Vec::new();
+        client.read_to_end(&mut output).expect("read output");
+        (
+            worker.join().expect("worker thread"),
+            without_heartbeats(&output),
+        )
+    }
 
     #[test]
     fn serve_answers_a_shard_and_exits_on_done() {
@@ -533,11 +484,9 @@ mod tests {
             wire::encode_command(&Command::Shard(spec)),
             wire::encode_command(&Command::Done)
         );
-        let mut output = Vec::new();
-        let code = serve(input.as_bytes(), &mut output);
+        let (code, text) = serve_in_memory(&input, None);
         assert_eq!(code, 0);
 
-        let text = String::from_utf8(output).unwrap();
         let lines: Vec<String> = text.lines().map(|l| l.to_string()).collect();
         assert_eq!(lines[0], wire::HANDSHAKE);
         let advertised = wire::decode_hello(&lines[1]).expect("hello after handshake");
@@ -571,9 +520,8 @@ mod tests {
             wire::HANDSHAKE,
             wire::encode_command(&Command::Shard(spec))
         );
-        let mut output = Vec::new();
-        assert_eq!(serve(input.as_bytes(), &mut output), 0);
-        let text = String::from_utf8(output).unwrap();
+        let (code, text) = serve_in_memory(&input, None);
+        assert_eq!(code, 0);
         let lines: Vec<String> = text.lines().map(|l| l.to_string()).collect();
         let mut src = SliceLines::new(&lines[2..]);
         match wire::decode_reply(&mut src).unwrap() {
@@ -587,8 +535,7 @@ mod tests {
 
     #[test]
     fn bad_handshake_is_rejected() {
-        let mut output = Vec::new();
-        assert_eq!(serve("not-a-handshake\n".as_bytes(), &mut output), 2);
+        assert_eq!(serve_in_memory("not-a-handshake\n", None).0, 2);
     }
 
     #[test]
@@ -599,10 +546,8 @@ mod tests {
             wire::HANDSHAKE,
             wire::encode_auth("wrong")
         );
-        let mut output = Vec::new();
-        let code = serve_with_token(input.as_bytes(), &mut output, Some("right".to_string()));
+        let (code, text) = serve_in_memory(&input, Some("right"));
         assert_eq!(code, 2);
-        let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], wire::HANDSHAKE);
         assert!(wire::is_auth(lines[1]), "worker sends its own auth: {text}");
@@ -623,10 +568,8 @@ mod tests {
 
         // Missing token: same gate, different reason.
         let input = format!("{}\ndone\n", wire::HANDSHAKE);
-        let mut output = Vec::new();
-        let code = serve_with_token(input.as_bytes(), &mut output, Some("right".to_string()));
+        let (code, text) = serve_in_memory(&input, Some("right"));
         assert_eq!(code, 2);
-        let text = String::from_utf8(output).unwrap();
         assert!(text.contains("authfail"), "{text}");
         assert!(!text.contains("hello"), "{text}");
     }
@@ -648,14 +591,8 @@ mod tests {
             wire::encode_auth("tok\twith\ttabs"),
             wire::encode_command(&Command::Shard(spec.clone()))
         );
-        let mut output = Vec::new();
-        let code = serve_with_token(
-            input.as_bytes(),
-            &mut output,
-            Some("tok\twith\ttabs".to_string()),
-        );
+        let (code, text) = serve_in_memory(&input, Some("tok\twith\ttabs"));
         assert_eq!(code, 0);
-        let text = String::from_utf8(output).unwrap();
         assert!(text.contains("hello"), "{text}");
         assert!(text.contains("result\t1\t0"), "{text}");
 
@@ -668,9 +605,123 @@ mod tests {
             wire::encode_auth("whatever"),
             wire::encode_command(&Command::Shard(spec))
         );
-        let mut output = Vec::new();
-        assert_eq!(serve_with_token(input.as_bytes(), &mut output, None), 0);
-        let text = String::from_utf8(output).unwrap();
+        let (code, text) = serve_in_memory(&input, None);
+        assert_eq!(code, 0);
         assert!(text.contains("result\t1\t0"), "{text}");
+    }
+
+    #[test]
+    fn pipes_and_tcp_run_the_same_session() {
+        let spec = ShardSpec {
+            id: 2,
+            chunk: 0,
+            scale: Scale::Test,
+            parallelism: Parallelism::Sequential,
+            benchmark: "mcf".to_string(),
+            backends: vec![SanitizerKind::None],
+        };
+        let shard = wire::encode_command(&Command::Shard(spec));
+        let cases = [
+            (None, format!("{}\n{shard}\ndone\n", wire::HANDSHAKE)),
+            (
+                Some("s3cret"),
+                format!(
+                    "{}\n{}\n{shard}\ndone\n",
+                    wire::HANDSHAKE,
+                    wire::encode_auth("s3cret")
+                ),
+            ),
+            (
+                Some("s3cret"),
+                format!(
+                    "{}\n{}\ndone\n",
+                    wire::HANDSHAKE,
+                    wire::encode_auth("wrong")
+                ),
+            ),
+            (None, "not-a-handshake\n".to_string()),
+        ];
+        // Wall time is the one report field that may differ run to run.
+        let timeless = |(code, text): (i32, String)| {
+            let lines: Vec<String> = text
+                .lines()
+                .map(|line| match line.strip_prefix("report\t") {
+                    Some(rest) => {
+                        let mut f: Vec<&str> = rest.split('\t').collect();
+                        f[3] = "<wall>";
+                        format!("report\t{}", f.join("\t"))
+                    }
+                    None => line.to_string(),
+                })
+                .collect();
+            (code, lines)
+        };
+        for (token, input) in cases {
+            let piped = timeless(serve_in_memory(&input, token));
+            let networked = timeless(serve_over_tcp(&input, token));
+            assert_eq!(piped, networked, "token {token:?}, input:\n{input}");
+        }
+    }
+
+    /// A reader that yields `opening`, then blocks — a peer that stays
+    /// connected but silent — until its sender is dropped.
+    struct SilentAfter {
+        opening: Cursor<Vec<u8>>,
+        hang_up: mpsc::Receiver<()>,
+    }
+
+    impl Read for SilentAfter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.opening.read(buf)? {
+                0 => {
+                    let _ = self.hang_up.recv();
+                    Ok(0)
+                }
+                n => Ok(n),
+            }
+        }
+    }
+
+    #[test]
+    fn silent_tokenless_peer_gets_authfail_on_both_transports() {
+        let opening = format!("{}\n", wire::HANDSHAKE);
+        let check = |code: i32, text: &str, elapsed: Duration, transport: &str| {
+            assert_eq!(code, 2, "{transport}: {text}");
+            let last = text.lines().last().unwrap_or_default();
+            assert_eq!(
+                wire::parse_auth_reject(last).as_deref(),
+                Some("peer presented no auth token"),
+                "{transport}: {text}"
+            );
+            assert!(!text.contains("hello"), "{transport}: {text}");
+            assert!(
+                elapsed < AUTH_GATE_TIMEOUT + Duration::from_secs(3),
+                "{transport}: the gate waited {elapsed:?}"
+            );
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let (hang_up, silent) = mpsc::channel();
+                let input = SilentAfter {
+                    opening: Cursor::new(opening.as_bytes().to_vec()),
+                    hang_up: silent,
+                };
+                let started = Instant::now();
+                let mut output = Vec::new();
+                let code = session(BufReader::new(input), &mut output, Some("s3cret"));
+                check(
+                    code,
+                    &without_heartbeats(&output),
+                    started.elapsed(),
+                    "pipe",
+                );
+                drop(hang_up);
+            });
+            scope.spawn(|| {
+                let started = Instant::now();
+                let (code, text) = serve_over_tcp(&opening, Some("s3cret"));
+                check(code, &text, started.elapsed(), "tcp");
+            });
+        });
     }
 }

@@ -443,7 +443,8 @@ proptest! {
     /// (`UnexpectedEof` once the header has committed to more lines),
     /// never a panic and never a silently short decode.
     #[test]
-    fn truncated_frames_fail_loudly(request in request_strategy(), row in spec_row_strategy()) {
+    fn truncated_frames_fail_loudly(request in request_strategy(), row in spec_row_strategy(),
+                                    report in report_strategy(), count in any::<u64>()) {
         let lines = wire::encode_request(&request);
         for keep in 1..lines.len() {
             let mut src = SliceLines::new(&lines[..keep]);
@@ -461,6 +462,27 @@ proptest! {
                 .expect_err("a truncated srow block must not decode");
             let is_eof = matches!(err, WireError::UnexpectedEof { .. });
             prop_assert!(is_eof, "expected WireError::UnexpectedEof, got {}", err);
+        }
+
+        // Count fields are the peer's claim: a header promising entries
+        // that never follow fails to decode, whatever the count — it
+        // must not size an allocation (2^40 reports once aborted the
+        // process, `u64::MAX` overflowed the capacity).
+        let mut report_lines = Vec::new();
+        wire::encode_run_report(&report, &mut report_lines);
+        let diags_at = report_lines
+            .iter()
+            .position(|line| line.starts_with("diags\t"))
+            .expect("every report has a diags line");
+        for claimed in [count.max(1), 1 << 40, u64::MAX] {
+            let header = vec![format!("row\tmcf\t0\t0\t0\t0\t0\t0\t{claimed}")];
+            let decoded = wire::decode_spec_row(&mut SliceLines::new(&header));
+            prop_assert!(decoded.is_err(), "{} reports claimed, none sent", claimed);
+
+            let mut lines = report_lines[..diags_at].to_vec();
+            lines.push(format!("diags\t{claimed}"));
+            let decoded = wire::decode_run_report(&mut SliceLines::new(&lines));
+            prop_assert!(decoded.is_err(), "{} diags claimed, none sent", claimed);
         }
     }
 

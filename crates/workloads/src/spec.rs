@@ -470,7 +470,7 @@ impl SpecBenchmark {
     pub fn source(&self, scale: Scale) -> String {
         let mut src = String::new();
         src.push_str(&format!(
-            "// Synthetic stand-in for SPEC2006 {} ({}; see DESIGN.md)\n",
+            "// Synthetic stand-in for SPEC2006 {} ({}; see the workloads crate)\n",
             self.name,
             if self.cpp { "C++" } else { "C" }
         ));

@@ -10,19 +10,22 @@
 //! contract: a worker killed mid-shard has its shard re-run on a fresh
 //! process without corrupting the merged results, and a shard that keeps
 //! crashing surfaces a structured [`SweepError::ShardExhausted`] instead
-//! of hanging or returning partial data.
+//! of hanging or returning partial data.  And the sweep's configured
+//! token, not whatever `SWEEP_TOKEN` the environment carries, decides
+//! what its pipe workers hold.
 //!
 //! (Registered on the `sweep` crate so `CARGO_BIN_EXE_sweep_worker`
 //! resolves to the worker binary under test.)
 
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use effective_san::{spec_experiment, Parallelism, SpecExperiment};
 use san_api::SanitizerKind;
 use sweep::coordinator::{ShardStrategy, SweepConfig, SweepError, WorkerLaunch};
 use sweep::worker::{CRASH_BENCH_ENV, CRASH_ONCE_PATH_ENV, HANG_BENCH_ENV, HANG_ONCE_PATH_ENV};
-use sweep::{diff_experiments, sharded_spec_experiment};
+use sweep::{diff_experiments, sharded_spec_experiment, TOKEN_ENV};
 use workloads::Scale;
 
 /// Benchmarks chosen to cover a clean C workload plus the seeded C and C++
@@ -253,4 +256,53 @@ fn single_worker_and_single_benchmark_degenerate_cases_hold() {
         Parallelism::Sequential,
     );
     assert_identical("sharded(1) vs sequential", &sharded, &in_process);
+}
+
+/// Run `sweep` on its own thread and fail the test if it outlives
+/// `limit`, so a sweep that deadlocks fails instead of hanging the suite.
+fn within<T: Send + 'static>(limit: Duration, sweep: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(sweep());
+    });
+    match result.recv_timeout(limit) {
+        Ok(value) => value,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("sweep still running after {limit:?}"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("sweep thread panicked"),
+    }
+}
+
+/// One token-gated pipe sweep of `config`, diffed against the
+/// in-process run.
+fn assert_token_handoff(context: &str, config: SweepConfig) {
+    let backends = [SanitizerKind::None, SanitizerKind::EffectiveFull];
+    let sharded = within(Duration::from_secs(60), move || {
+        sharded_spec_experiment(Some(&BENCHMARKS), &backends, &config)
+    })
+    .unwrap_or_else(|e| panic!("{context}: {e}"));
+    let in_process = spec_experiment(
+        Some(&BENCHMARKS),
+        Scale::Test,
+        &backends,
+        Parallelism::Parallel,
+    );
+    assert_identical(context, &sharded, &in_process);
+}
+
+#[test]
+fn configured_token_reaches_spawned_pipe_workers() {
+    // The worker's token comes from the sweep's configuration, not from
+    // whatever `SWEEP_TOKEN` this process happens to carry.
+    let mut config = config(2);
+    config.token = Some("sharded-handoff-token".to_string());
+    assert_token_handoff("token: Some, none in the environment", config);
+}
+
+#[test]
+fn tokenless_sweep_overrides_a_worker_env_token() {
+    // `worker_env` is applied first, so the sweep's `token: None` wins
+    // and the workers run open, like the coordinator.
+    let mut config = config(2);
+    config.worker_env = vec![(TOKEN_ENV.to_string(), "stray-token".to_string())];
+    assert_token_handoff("token: None, SWEEP_TOKEN in worker_env", config);
 }
