@@ -2,10 +2,8 @@
 //!
 //! Runs the selected benchmarks under the selected backends with
 //! [`RunConfig::profile`] enabled and renders the merged profile: the
-//! top-N check sites with per-site hit/miss/elide/guard-fallback counts,
-//! the top-N functions with slow/fast tier residency, and the tier
-//! promotion/OSR event count — the evidence base for deepening the check
-//! hoisting pass (ROADMAP "Deeper hoisting").
+//! top-N check sites with per-site hit/miss counts, the top-N functions
+//! with slow/fast tier residency, and the tier promotion/OSR event count.
 //!
 //! Usage: `table_profile [--json] [--top N] [--benchmarks a,b,c] [backend...]`
 //!
@@ -79,7 +77,7 @@ fn main() {
 
     if json {
         println!(
-            "{{\"schema\":\"effective-san-profile/1\",\"scale\":\"{scale:?}\",\"profile\":{}}}",
+            "{{\"schema\":\"effective-san-profile/2\",\"scale\":\"{scale:?}\",\"profile\":{}}}",
             merged.to_json()
         );
         return;

@@ -17,15 +17,16 @@
 use effective_san::{Parallelism, SanitizerKind, Scale};
 
 /// Resolve the workload scale from the `SCALE` environment variable
-/// (`test`, `small` or `ref`; defaults to `small`).
+/// (any spelling `Scale`'s `FromStr` accepts: `test`, `small`, `ref` or
+/// `reference`; unset or empty means `small`).  An unknown value prints
+/// the accepted spellings and exits with status 2 rather than silently
+/// benchmarking another scale.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("SCALE")
-        .unwrap_or_default()
-        .to_lowercase()
-        .as_str()
-    {
-        "test" => Scale::Test,
-        "ref" | "reference" => Scale::Reference,
+    match std::env::var("SCALE") {
+        Ok(v) if !v.is_empty() => v.parse().unwrap_or_else(|e| {
+            eprintln!("invalid SCALE value: {e}");
+            std::process::exit(2);
+        }),
         _ => Scale::Small,
     }
 }

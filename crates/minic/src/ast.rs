@@ -136,6 +136,15 @@ pub enum Stmt {
         /// Source location.
         loc: Loc,
     },
+    /// `do body while (cond);` — the body runs before the first test.
+    DoWhile {
+        /// Loop body.
+        body: Vec<Stmt>,
+        /// Condition, tested after each pass of the body.
+        cond: Expr,
+        /// Source location.
+        loc: Loc,
+    },
     /// `for (init; cond; step) body`
     For {
         /// Init statement (declaration or expression).

@@ -367,13 +367,30 @@ impl<'a> FunctionLowerer<'a> {
                 self.emit(Instr::Jump { target: cond_start });
                 let end = self.body.len();
                 self.patch_branch(branch_idx, body_start, end);
-                let ctx = self.loops.pop().expect("loop context");
-                for j in ctx.break_jumps {
-                    self.patch_jump(j, end);
+                self.close_loop(end, cond_start);
+                Ok(())
+            }
+            Stmt::DoWhile { body, cond, .. } => {
+                // body → condition → back-branch; `continue` re-tests.
+                let body_start = self.body.len();
+                self.loops.push(LoopContext {
+                    break_jumps: Vec::new(),
+                    continue_jumps: Vec::new(),
+                });
+                self.scopes.push(HashMap::new());
+                for s in body {
+                    self.lower_stmt(s)?;
                 }
-                for j in ctx.continue_jumps {
-                    self.patch_jump(j, cond_start);
-                }
+                self.scopes.pop();
+                let cond_start = self.body.len();
+                let (c, _) = self.lower_expr(cond)?;
+                let end = self.body.len() + 1;
+                self.emit(Instr::Branch {
+                    cond: c,
+                    then_target: body_start,
+                    else_target: end,
+                });
+                self.close_loop(end, cond_start);
                 Ok(())
             }
             Stmt::For {
@@ -418,13 +435,7 @@ impl<'a> FunctionLowerer<'a> {
                 if let Some(b) = branch_idx {
                     self.patch_branch(b, body_start, end);
                 }
-                let ctx = self.loops.pop().expect("loop context");
-                for j in ctx.break_jumps {
-                    self.patch_jump(j, end);
-                }
-                for j in ctx.continue_jumps {
-                    self.patch_jump(j, step_start);
-                }
+                self.close_loop(end, step_start);
                 self.scopes.pop();
                 Ok(())
             }
@@ -537,6 +548,18 @@ impl<'a> FunctionLowerer<'a> {
         {
             *t = then_target;
             *e = else_target;
+        }
+    }
+
+    /// Pop the innermost loop, sending its `break`s to `end` and its
+    /// `continue`s to `continue_target`.
+    fn close_loop(&mut self, end: usize, continue_target: usize) {
+        let ctx = self.loops.pop().expect("loop context");
+        for j in ctx.break_jumps {
+            self.patch_jump(j, end);
+        }
+        for j in ctx.continue_jumps {
+            self.patch_jump(j, continue_target);
         }
     }
 
@@ -1339,7 +1362,7 @@ fn collect_address_taken(stmts: &[Stmt], out: &mut HashSet<String>) {
                 collect_address_taken(then_body, out);
                 collect_address_taken(else_body, out);
             }
-            Stmt::While { cond, body, .. } => {
+            Stmt::While { cond, body, .. } | Stmt::DoWhile { body, cond, .. } => {
                 walk_expr(cond, out);
                 collect_address_taken(body, out);
             }
@@ -1595,6 +1618,65 @@ mod tests {
         assert!(lower(&unit, 1).is_err());
         let unit = parse("void f() { continue; }").unwrap();
         assert!(lower(&unit, 1).is_err());
+    }
+
+    const DO_WHILE_BREAK: &str =
+        "int f(int s) { do { s = s + 1; if (s > 3) break; } while (s < 10); return s; }";
+    const DO_WHILE_CONTINUE: &str = "int f(int s) {
+        int n = 0;
+        do { s = s + 1; if (s % 2 == 0) continue; n = n + 1; } while (s < 10);
+        return n;
+    }";
+
+    #[test]
+    fn do_while_lowers_its_body_once_with_break_and_continue_inside() {
+        // `s + 1` in both bodies, plus `n + 1` in the `continue` one.
+        for (src, source_adds) in [(DO_WHILE_BREAK, 1), (DO_WHILE_CONTINUE, 2)] {
+            let p = compile(src);
+            let f = p.function("f").unwrap();
+            // One loop: a single conditional branch back to the body start
+            // closes it, and the body is lowered exactly once.
+            let back: Vec<usize> = f
+                .body
+                .iter()
+                .enumerate()
+                .filter_map(|(i, instr)| match instr {
+                    Instr::Branch { then_target, .. } if *then_target < i => Some(*then_target),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(back.len(), 1, "{src}\n{p}");
+            let adds = f
+                .body
+                .iter()
+                .filter(|i| matches!(i, Instr::Bin { op: BinOp::Add, .. }))
+                .count();
+            assert_eq!(adds, source_adds, "{src}\n{p}");
+        }
+    }
+
+    #[test]
+    fn nested_do_whiles_lower_linearly_in_depth() {
+        fn nested(depth: usize) -> String {
+            let mut src = String::from("int f(int s) { ");
+            for _ in 0..depth {
+                src.push_str("do { ");
+            }
+            src.push_str("s = s + 1; ");
+            for _ in 0..depth {
+                src.push_str("} while (s < 5); ");
+            }
+            src.push_str("return s; }");
+            src
+        }
+        // Every level adds the same code; checked level by level so a
+        // body-cloning lowering fails at depth 2, long before it blows up.
+        let size = |d: usize| compile(&nested(d)).instruction_count();
+        let base = size(0);
+        let step = size(1) - base;
+        for depth in 2..=40 {
+            assert_eq!(size(depth), base + depth * step, "depth {depth}");
+        }
     }
 
     #[test]

@@ -572,8 +572,6 @@ impl Parser {
                 Ok(Stmt::While { cond, body, loc })
             }
             TokenKind::Keyword(Keyword::Do) => {
-                // do { body } while (cond);  — desugared to
-                // { body; while (cond) body; } for simplicity.
                 self.bump();
                 let body = self.parse_stmt_as_block()?;
                 if !self.eat_keyword(Keyword::While) {
@@ -583,9 +581,7 @@ impl Parser {
                 let cond = self.parse_expr()?;
                 self.expect_punct(Punct::RParen)?;
                 self.expect_punct(Punct::Semi)?;
-                let mut stmts = body.clone();
-                stmts.push(Stmt::While { cond, body, loc });
-                Ok(Stmt::Block(stmts))
+                Ok(Stmt::DoWhile { body, cond, loc })
             }
             TokenKind::Keyword(Keyword::For) => {
                 self.bump();

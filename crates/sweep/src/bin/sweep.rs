@@ -151,15 +151,10 @@ fn parse_options() -> Options {
                     })
             }
             "--scale" => {
-                opts.scale = match value(&mut args, "--scale").as_str() {
-                    "test" => Scale::Test,
-                    "small" => Scale::Small,
-                    "ref" | "reference" => Scale::Reference,
-                    other => {
-                        eprintln!("sweep: unknown scale `{other}` (test, small, ref)");
-                        usage();
-                    }
-                }
+                opts.scale = value(&mut args, "--scale").parse().unwrap_or_else(|e| {
+                    eprintln!("sweep: {e}");
+                    usage();
+                })
             }
             "--experiment" => {
                 opts.experiment = value(&mut args, "--experiment");

@@ -7,6 +7,14 @@
 //! and counting every event needed by the paper's performance experiments
 //! (instructions, loads/stores, allocations and the per-check counters
 //! kept by the backend itself).
+//!
+//! Two tiers execute the same program: the slow tier interprets
+//! [`minic::ir::Instr`] directly and is the semantic oracle, and hot
+//! functions are promoted to the pre-resolved fast tier
+//! ([`crate::tier`]).  The contract between them is exact: every check
+//! site makes its backend call in both tiers, so results, statistics and
+//! diagnostics are bit-identical (only `tier_promotions` and `fast_calls`
+//! differ).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,12 +92,6 @@ pub struct VmConfig {
     /// Both thresholds are clamped to at least 1: a threshold of 0 would
     /// otherwise promote before any profile exists.
     pub osr_after_backjumps: u32,
-    /// Elide checks dominated by a covering check in the same straight-line
-    /// run when translating to the fast tier (the paper's §5.3
-    /// redundant-check elimination).  Also disabled by setting the
-    /// `SAN_NO_HOIST` environment variable to a non-empty value other
-    /// than `0`.
-    pub hoist_checks: bool,
     /// Collect a per-check-site / per-function tier profile (see
     /// [`Vm::profile_report`]).  Off by default; profiling is
     /// observational only — results, statistics and diagnostics are
@@ -107,19 +109,9 @@ impl Default for VmConfig {
             seed: 0x5eed_0001,
             promote_after_calls: 2,
             osr_after_backjumps: 64,
-            hoist_checks: true,
             profile: false,
         }
     }
-}
-
-/// `SAN_NO_HOIST` set to a non-empty value other than `0` disables the
-/// fast-tier check-elision pass regardless of [`VmConfig::hoist_checks`]
-/// (used by CI to run the differential suite both ways).
-fn hoist_disabled_by_env() -> bool {
-    std::env::var_os("SAN_NO_HOIST")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
 }
 
 /// Execution event counters.
@@ -143,11 +135,9 @@ pub struct ExecStats {
     pub tier_promotions: u64,
     /// Calls dispatched to the fast tier.
     pub fast_calls: u64,
-    /// Dominated checks whose backend call the fast tier skipped because
-    /// the dominating check passed (§5.3 redundant-check elimination).
-    /// Every elided site still ticks `check_instructions`, so only the
-    /// backend's `bounds_checks`/`access_checks` counters shrink — by
-    /// exactly this amount.
+    /// Always 0: every check site makes its backend call in both tiers
+    /// (redundant checks are removed once, at instrumentation time).  Kept
+    /// because the sweep wire format's `exec` line carries it.
     pub checks_elided: u64,
 }
 
@@ -282,16 +272,6 @@ pub struct Vm {
     check_type_map: Vec<TypeId>,
     promote_after_calls: u32,
     osr_after_backjumps: u32,
-    /// Whether fast-tier translation runs the check-elision pass.
-    hoist_checks: bool,
-    /// Per-site check results, indexed by fast-tier site index (sized to
-    /// the largest promoted function's site table).  An elided check reads
-    /// its dominator's entry: `true` means the dominating check passed on
-    /// this very execution of the run, so the dominated check must pass
-    /// too.  Sound because a dominator and its dominated sites sit in one
-    /// straight-line run with no intervening call — nothing can interleave
-    /// between the write and the read, even under recursion.
-    check_guards: Vec<bool>,
     /// Opt-in site/tier profiler ([`VmConfig::profile`]); `None` (the
     /// default) keeps the hot paths free of sampling.
     profiler: Option<Box<VmProfiler>>,
@@ -382,8 +362,6 @@ impl Vm {
             // clamp to 1 (`u32::MAX` still means disabled).
             promote_after_calls: config.promote_after_calls.max(1),
             osr_after_backjumps: config.osr_after_backjumps.max(1),
-            hoist_checks: config.hoist_checks && !hoist_disabled_by_env(),
-            check_guards: Vec::new(),
             profiler: config
                 .profile
                 .then(|| Box::new(VmProfiler::new(func_names))),
@@ -421,22 +399,6 @@ impl Vm {
     fn prof_check(&mut self, loc: &Arc<str>, passed: bool) {
         if let Some(p) = self.profiler.as_deref_mut() {
             p.check(loc, passed);
-        }
-    }
-
-    /// Profiler hook: a dominated check was skipped under its guard.
-    #[inline]
-    fn prof_elide(&mut self, loc: &Arc<str>) {
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.elided(loc);
-        }
-    }
-
-    /// Profiler hook: a dominated check ran in full (guard failed).
-    #[inline]
-    fn prof_fallback(&mut self, loc: &Arc<str>) {
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.fallback(loc);
         }
     }
 
@@ -562,11 +524,7 @@ impl Vm {
             &self.globals,
             &self.func_index,
             &self.check_type_map,
-            self.hoist_checks,
         );
-        if self.check_guards.len() < fast.sites.len() {
-            self.check_guards.resize(fast.sites.len(), false);
-        }
         self.stats.tier_promotions += 1;
         let (reason, detail) = match trigger {
             PromoteTrigger::Calls(n) => ("promoted-after-calls", u64::from(n)),
@@ -932,18 +890,15 @@ impl Vm {
         // loop free of memory traffic on its own counters.
         let mut n_instr: u64 = 0;
         let mut n_check: u64 = 0;
-        let mut n_elided: u64 = 0;
         macro_rules! flush {
             () => {
                 self.stats.instructions += n_instr;
                 self.stats.check_instructions += n_check;
-                self.stats.checks_elided += n_elided;
                 if let Some(p) = self.profiler.as_deref_mut() {
                     p.fast_instrs(func_idx, n_instr + n_check);
                 }
                 n_instr = 0;
                 n_check = 0;
-                n_elided = 0;
             };
         }
         macro_rules! fail {
@@ -1223,7 +1178,6 @@ impl Vm {
                     size,
                     escape,
                     site,
-                    guard,
                 } => {
                     tick_check!();
                     let p = slots[ptr as usize].as_ptr();
@@ -1231,9 +1185,6 @@ impl Vm {
                     let ok =
                         self.backend
                             .bounds_check(p, size, b, &func.sites[site as usize], escape);
-                    if guard {
-                        self.check_guards[site as usize] = ok;
-                    }
                     self.prof_check(&func.sites[site as usize], ok);
                     halted!();
                 }
@@ -1242,16 +1193,12 @@ impl Vm {
                     size,
                     write,
                     site,
-                    guard,
                 } => {
                     tick_check!();
                     let p = slots[ptr as usize].as_ptr();
                     let ok = self
                         .backend
                         .access_check(p, size, write, &func.sites[site as usize]);
-                    if guard {
-                        self.check_guards[site as usize] = ok;
-                    }
                     self.prof_check(&func.sites[site as usize], ok);
                     halted!();
                 }
@@ -1268,7 +1215,6 @@ impl Vm {
                     check_size,
                     site,
                     kind,
-                    guard,
                 } => {
                     tick_check!();
                     let p = slots[ptr as usize].as_ptr();
@@ -1280,9 +1226,6 @@ impl Vm {
                         &func.sites[site as usize],
                         false,
                     );
-                    if guard {
-                        self.check_guards[site as usize] = ok;
-                    }
                     self.prof_check(&func.sites[site as usize], ok);
                     halted!();
                     tick!();
@@ -1296,7 +1239,6 @@ impl Vm {
                     check_size,
                     site,
                     kind,
-                    guard,
                 } => {
                     tick_check!();
                     let p = slots[ptr as usize].as_ptr();
@@ -1308,9 +1250,6 @@ impl Vm {
                         &func.sites[site as usize],
                         false,
                     );
-                    if guard {
-                        self.check_guards[site as usize] = ok;
-                    }
                     self.prof_check(&func.sites[site as usize], ok);
                     halted!();
                     tick!();
@@ -1324,16 +1263,12 @@ impl Vm {
                     check_size,
                     site,
                     kind,
-                    guard,
                 } => {
                     tick_check!();
                     let p = slots[ptr as usize].as_ptr();
                     let ok =
                         self.backend
                             .access_check(p, check_size, false, &func.sites[site as usize]);
-                    if guard {
-                        self.check_guards[site as usize] = ok;
-                    }
                     self.prof_check(&func.sites[site as usize], ok);
                     halted!();
                     tick!();
@@ -1346,177 +1281,14 @@ impl Vm {
                     check_size,
                     site,
                     kind,
-                    guard,
                 } => {
                     tick_check!();
                     let p = slots[ptr as usize].as_ptr();
                     let ok =
                         self.backend
                             .access_check(p, check_size, true, &func.sites[site as usize]);
-                    if guard {
-                        self.check_guards[site as usize] = ok;
-                    }
                     self.prof_check(&func.sites[site as usize], ok);
                     halted!();
-                    tick!();
-                    self.stats.stores += 1;
-                    let value = slots[src as usize];
-                    self.store_kinded(p, kind, value);
-                }
-
-                // ----- dominated checks (check hoisting) -----
-                //
-                // When the dominating check passed on this execution of
-                // the run (guard true), the dominated check must pass too
-                // and its backend call is skipped; the site still ticks
-                // `check_instructions` so budget exhaustion fires at the
-                // same event as the slow tier.  When the dominator failed,
-                // the full check runs here with its own site label, so the
-                // diagnostic stream stays bit-identical.  A skipped check
-                // also skips `halted()`: had the backend halted earlier,
-                // the dominator's own arm would already have returned.
-                FastInstr::ElidedBoundsCheck {
-                    ptr,
-                    bounds,
-                    size,
-                    site,
-                    dom_site,
-                } => {
-                    tick_check!();
-                    if self.check_guards[dom_site as usize] {
-                        n_elided += 1;
-                        self.prof_elide(&func.sites[site as usize]);
-                    } else {
-                        self.prof_fallback(&func.sites[site as usize]);
-                        let p = slots[ptr as usize].as_ptr();
-                        let b = slots[bounds as usize].as_bounds();
-                        self.backend
-                            .bounds_check(p, size, b, &func.sites[site as usize], false);
-                        halted!();
-                    }
-                }
-                FastInstr::ElidedAccessCheck {
-                    ptr,
-                    size,
-                    write,
-                    site,
-                    dom_site,
-                } => {
-                    tick_check!();
-                    if self.check_guards[dom_site as usize] {
-                        n_elided += 1;
-                        self.prof_elide(&func.sites[site as usize]);
-                    } else {
-                        self.prof_fallback(&func.sites[site as usize]);
-                        let p = slots[ptr as usize].as_ptr();
-                        self.backend
-                            .access_check(p, size, write, &func.sites[site as usize]);
-                        halted!();
-                    }
-                }
-                FastInstr::ElidedCheckLoad {
-                    dst,
-                    ptr,
-                    bounds,
-                    check_size,
-                    site,
-                    dom_site,
-                    kind,
-                } => {
-                    tick_check!();
-                    let p = slots[ptr as usize].as_ptr();
-                    if self.check_guards[dom_site as usize] {
-                        n_elided += 1;
-                        self.prof_elide(&func.sites[site as usize]);
-                    } else {
-                        self.prof_fallback(&func.sites[site as usize]);
-                        let b = slots[bounds as usize].as_bounds();
-                        self.backend.bounds_check(
-                            p,
-                            check_size,
-                            b,
-                            &func.sites[site as usize],
-                            false,
-                        );
-                        halted!();
-                    }
-                    tick!();
-                    self.stats.loads += 1;
-                    slots[dst as usize] = self.load_kinded(p, kind);
-                }
-                FastInstr::ElidedCheckStore {
-                    ptr,
-                    bounds,
-                    src,
-                    check_size,
-                    site,
-                    dom_site,
-                    kind,
-                } => {
-                    tick_check!();
-                    let p = slots[ptr as usize].as_ptr();
-                    if self.check_guards[dom_site as usize] {
-                        n_elided += 1;
-                        self.prof_elide(&func.sites[site as usize]);
-                    } else {
-                        self.prof_fallback(&func.sites[site as usize]);
-                        let b = slots[bounds as usize].as_bounds();
-                        self.backend.bounds_check(
-                            p,
-                            check_size,
-                            b,
-                            &func.sites[site as usize],
-                            false,
-                        );
-                        halted!();
-                    }
-                    tick!();
-                    self.stats.stores += 1;
-                    let value = slots[src as usize];
-                    self.store_kinded(p, kind, value);
-                }
-                FastInstr::ElidedAccessLoad {
-                    dst,
-                    ptr,
-                    check_size,
-                    site,
-                    dom_site,
-                    kind,
-                } => {
-                    tick_check!();
-                    let p = slots[ptr as usize].as_ptr();
-                    if self.check_guards[dom_site as usize] {
-                        n_elided += 1;
-                        self.prof_elide(&func.sites[site as usize]);
-                    } else {
-                        self.prof_fallback(&func.sites[site as usize]);
-                        self.backend
-                            .access_check(p, check_size, false, &func.sites[site as usize]);
-                        halted!();
-                    }
-                    tick!();
-                    self.stats.loads += 1;
-                    slots[dst as usize] = self.load_kinded(p, kind);
-                }
-                FastInstr::ElidedAccessStore {
-                    ptr,
-                    src,
-                    check_size,
-                    site,
-                    dom_site,
-                    kind,
-                } => {
-                    tick_check!();
-                    let p = slots[ptr as usize].as_ptr();
-                    if self.check_guards[dom_site as usize] {
-                        n_elided += 1;
-                        self.prof_elide(&func.sites[site as usize]);
-                    } else {
-                        self.prof_fallback(&func.sites[site as usize]);
-                        self.backend
-                            .access_check(p, check_size, true, &func.sites[site as usize]);
-                        halted!();
-                    }
                     tick!();
                     self.stats.stores += 1;
                     let value = slots[src as usize];
@@ -1626,107 +1398,6 @@ impl Vm {
                     } else {
                         else_target as usize
                     };
-                }
-                FastInstr::CopyJump { dst, src, target } => {
-                    tick!();
-                    slots[dst as usize] = slots[src as usize];
-                    tick!();
-                    pc = target as usize;
-                }
-                FastInstr::CopyBranch {
-                    dst,
-                    src,
-                    cond,
-                    then_target,
-                    else_target,
-                } => {
-                    tick!();
-                    slots[dst as usize] = slots[src as usize];
-                    tick!();
-                    pc = if slots[cond as usize].is_truthy() {
-                        then_target as usize
-                    } else {
-                        else_target as usize
-                    };
-                }
-                FastInstr::CopyPtrAdd {
-                    dst1,
-                    src1,
-                    dst,
-                    base,
-                    index,
-                    elem_size,
-                } => {
-                    tick!();
-                    slots[dst1 as usize] = slots[src1 as usize];
-                    tick!();
-                    let b = slots[base as usize].as_ptr();
-                    let i = slots[index as usize].as_int();
-                    slots[dst as usize] = Value::Ptr(b.offset(i.wrapping_mul(elem_size as i64)));
-                }
-                FastInstr::PtrAddLoad {
-                    addr,
-                    base,
-                    index,
-                    elem_size,
-                    dst,
-                    kind,
-                } => {
-                    tick!();
-                    let b = slots[base as usize].as_ptr();
-                    let i = slots[index as usize].as_int();
-                    let p = b.offset(i.wrapping_mul(elem_size as i64));
-                    slots[addr as usize] = Value::Ptr(p);
-                    tick!();
-                    self.stats.loads += 1;
-                    slots[dst as usize] = self.load_kinded(p, kind);
-                }
-                FastInstr::LoadCopy {
-                    dst,
-                    ptr,
-                    kind,
-                    dst2,
-                    src2,
-                } => {
-                    tick!();
-                    self.stats.loads += 1;
-                    let addr = slots[ptr as usize].as_ptr();
-                    slots[dst as usize] = self.load_kinded(addr, kind);
-                    tick!();
-                    slots[dst2 as usize] = slots[src2 as usize];
-                }
-                FastInstr::StoreCopy {
-                    ptr,
-                    src,
-                    kind,
-                    dst2,
-                    src2,
-                } => {
-                    tick!();
-                    self.stats.stores += 1;
-                    let addr = slots[ptr as usize].as_ptr();
-                    let value = slots[src as usize];
-                    self.store_kinded(addr, kind, value);
-                    tick!();
-                    slots[dst2 as usize] = slots[src2 as usize];
-                }
-                FastInstr::LoadStore {
-                    dst,
-                    ptr_l,
-                    kind_l,
-                    ptr_s,
-                    src,
-                    kind_s,
-                } => {
-                    tick!();
-                    self.stats.loads += 1;
-                    let addr = slots[ptr_l as usize].as_ptr();
-                    slots[dst as usize] = self.load_kinded(addr, kind_l);
-                    tick!();
-                    self.stats.stores += 1;
-                    let addr = slots[ptr_s as usize].as_ptr();
-                    let value = slots[src as usize];
-                    self.store_kinded(addr, kind_s, value);
                 }
             }
         }
@@ -2243,7 +1914,7 @@ mod tests {
         assert_eq!(a.run("run", &[]).unwrap(), b.run("run", &[]).unwrap());
     }
 
-    fn vm_with_tiering(src: &str, kind: SanitizerKind, promote: u32, osr: u32, hoist: bool) -> Vm {
+    fn vm_with_tiering(src: &str, kind: SanitizerKind, promote: u32, osr: u32) -> Vm {
         let program = minic::compile(src).unwrap();
         let instrumented = instrument_program(&program, kind);
         Vm::new(
@@ -2252,7 +1923,6 @@ mod tests {
                 sanitizer: kind,
                 promote_after_calls: promote,
                 osr_after_backjumps: osr,
-                hoist_checks: hoist,
                 ..Default::default()
             },
         )
@@ -2269,7 +1939,7 @@ mod tests {
         // 0 would mean "promote before any profile exists"; it behaves
         // exactly like 1 — promotion on the first call.
         for threshold in [0, 1] {
-            let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, threshold, u32::MAX, true);
+            let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, threshold, u32::MAX);
             vm.run("run", &[Value::Int(4)]).unwrap();
             assert_eq!(vm.stats().tier_promotions, 1, "threshold {threshold}");
             assert_eq!(vm.stats().fast_calls, 1, "threshold {threshold}");
@@ -2278,7 +1948,7 @@ mod tests {
 
     #[test]
     fn promote_threshold_max_disables_tiering_entirely() {
-        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, u32::MAX, 1, true);
+        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, u32::MAX, 1);
         vm.run("run", &[Value::Int(1000)]).unwrap();
         // promote=MAX also disables OSR: the loop ran 1000 backward jumps
         // in the slow tier without promoting.
@@ -2290,7 +1960,7 @@ mod tests {
     fn promote_threshold_max_minus_one_is_enabled_but_unreached() {
         // MAX-1 is a real (unreachable here) threshold, not "disabled":
         // small call counts stay slow, and nothing wraps or panics.
-        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, u32::MAX - 1, u32::MAX, true);
+        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, u32::MAX - 1, u32::MAX);
         for _ in 0..3 {
             vm.run("run", &[Value::Int(4)]).unwrap();
         }
@@ -2303,76 +1973,37 @@ mod tests {
         // first activation promotes, so a single call still reaches the
         // fast tier.
         for threshold in [0, 1] {
-            let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, 1000, threshold, true);
+            let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, 1000, threshold);
             vm.run("run", &[Value::Int(100)]).unwrap();
             assert_eq!(vm.stats().tier_promotions, 1, "osr {threshold}");
         }
         // osr=MAX disables OSR only: no promotion from a single hot call.
-        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, 1000, u32::MAX, true);
+        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, 1000, u32::MAX);
         vm.run("run", &[Value::Int(100)]).unwrap();
         assert_eq!(vm.stats().tier_promotions, 0);
         // osr=MAX-1 is enabled but unreached by a 100-iteration loop.
-        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, 1000, u32::MAX - 1, true);
+        let mut vm = vm_with_tiering(LOOPY, SanitizerKind::None, 1000, u32::MAX - 1);
         vm.run("run", &[Value::Int(100)]).unwrap();
         assert_eq!(vm.stats().tier_promotions, 0);
     }
 
     #[test]
-    fn dominated_checks_are_elided_in_the_fast_tier() {
-        // The loop body re-checks `p->a` three times per iteration (one
-        // store guard, two load guards) over the same pointer, offset and
-        // bounds value: the first check dominates the rest.
-        let src = "struct pair { int a; int b; };
-        int run(int n) {
-            struct pair *p = (struct pair *)malloc(sizeof(struct pair));
-            int s = 0;
-            for (int i = 0; i < n; i++) {
-                p->a = i;
-                s += p->a * p->a;
-            }
-            free(p);
-            return s;
+    fn do_while_break_and_continue_return_the_c_results() {
+        let brk = "int f(int s) { do { s = s + 1; if (s > 3) break; } while (s < 10); return s; }";
+        // `continue` re-tests the condition: from 0 the loop stops at
+        // s = 10 having counted the five odd values.
+        let cont = "int f(int s) {
+            int n = 0;
+            do { s = s + 1; if (s % 2 == 0) continue; n = n + 1; } while (s < 10);
+            return n;
         }";
-        let mut fast = vm_with_tiering(src, SanitizerKind::EffectiveFull, 1, 1, true);
-        let fast_result = fast.run("run", &[Value::Int(50)]).unwrap();
-        let mut slow = vm_with_tiering(src, SanitizerKind::EffectiveFull, u32::MAX, u32::MAX, true);
-        let slow_result = slow.run("run", &[Value::Int(50)]).unwrap();
-        assert_eq!(fast_result, slow_result);
-        assert!(
-            fast.stats().checks_elided > 0,
-            "no checks elided: {:?}",
-            fast.stats()
-        );
-        // Elision only skips backend calls for the two relaxed counters;
-        // everything else is bit-identical with the slow tier.
-        assert_eq!(
-            fast.backend().stats().bounds_checks + fast.stats().checks_elided,
-            slow.backend().stats().bounds_checks
-        );
-        assert_eq!(
-            fast.stats().check_instructions,
-            slow.stats().check_instructions
-        );
-        assert_eq!(fast.backend().error_stats().distinct_issues, 0);
-    }
-
-    #[test]
-    fn hoisting_can_be_disabled_by_config() {
-        let src = "struct pair { int a; int b; };
-        int run(int n) {
-            struct pair *p = (struct pair *)malloc(sizeof(struct pair));
-            int s = 0;
-            for (int i = 0; i < n; i++) {
-                p->a = i;
-                s += p->a * p->a;
+        for (src, arg, want) in [(brk, 0, 4), (brk, 20, 21), (cont, 0, 5), (cont, 100, 1)] {
+            for (promote, osr) in [(u32::MAX, u32::MAX), (1, 1)] {
+                let mut vm = vm_with_tiering(src, SanitizerKind::None, promote, osr);
+                let got = vm.run("f", &[Value::Int(arg)]).unwrap();
+                assert_eq!(got, Value::Int(want), "f({arg}) promote={promote}\n{src}");
             }
-            free(p);
-            return s;
-        }";
-        let mut vm = vm_with_tiering(src, SanitizerKind::EffectiveFull, 1, 1, false);
-        vm.run("run", &[Value::Int(50)]).unwrap();
-        assert_eq!(vm.stats().checks_elided, 0);
-        assert!(vm.stats().fast_calls > 0);
+        }
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! (the default) the interpreter pays one predictable `Option` test per
 //! would-be sample and nothing else.  When on, the profiler records
 //!
-//! * per-check-site outcome counts — hit (backend call passed), miss
-//!   (backend call reported a violation), elided (skipped under a
-//!   dominator's guard), guard-fallback (dominated check that ran in
-//!   full because its dominator failed);
+//! * per-check-site outcome counts — hit (backend call passed) and miss
+//!   (backend call reported a violation); every executed check site makes
+//!   its backend call in both tiers, so hits + misses is the site's
+//!   execution count;
 //! * per-function tier residency — instructions retired and activations
 //!   dispatched in each tier;
 //! * promotion and OSR events, in order, with the triggering counter.
@@ -45,33 +45,16 @@ impl VmProfiler {
         }
     }
 
-    fn site(&mut self, loc: &Arc<str>) -> &mut SiteCounts {
-        self.sites.entry(Arc::clone(loc)).or_default()
-    }
-
     /// A check executed its backend call: `passed` per the backend's
     /// verdict (type/cast checks, which report no verdict, pass `true`).
     #[inline]
     pub(crate) fn check(&mut self, loc: &Arc<str>, passed: bool) {
-        let s = self.site(loc);
+        let s = self.sites.entry(Arc::clone(loc)).or_default();
         if passed {
             s.hits += 1;
         } else {
             s.misses += 1;
         }
-    }
-
-    /// A dominated check was skipped under its dominator's guard.
-    #[inline]
-    pub(crate) fn elided(&mut self, loc: &Arc<str>) {
-        self.site(loc).elided += 1;
-    }
-
-    /// A dominated check ran in full because its dominator's guard had
-    /// recorded a failure.
-    #[inline]
-    pub(crate) fn fallback(&mut self, loc: &Arc<str>) {
-        self.site(loc).guard_fallbacks += 1;
     }
 
     /// One instruction retired in the slow tier of function `idx`.

@@ -15,21 +15,17 @@
 //! * globals become absolute [`Ptr`]s,
 //! * check-site static types become backend [`TypeId`]s,
 //! * `Alloca` sizes are pre-multiplied,
-//! * and adjacent check+load / check+store pairs are fused into
-//!   superinstructions so one dispatch does what two did.
+//! * and adjacent check+load / check+store pairs, plus the six hottest
+//!   plain pairs, are fused into superinstructions so one dispatch does
+//!   what two did.
 //!
-//! Translation preserves the slow tier's event sequence (same instruction
-//! counting, same check order, same halt points), so statistics are
-//! bit-identical between tiers with one principled exception: the
-//! dominance-based check-elision pass (the paper's §5.3 redundant-check
-//! elimination) may skip the backend call of a check that is provably
-//! covered by an earlier check in the same straight-line run, so the
-//! backend's `bounds_checks`/`access_checks` counters may shrink by exactly
-//! [`crate::ExecStats::checks_elided`].  Detections, diagnostics, halt
-//! points and every other counter are unaffected: an elided site still
-//! ticks the instruction budget, and whenever its dominating check *failed*
-//! the full check runs at its own site.  The slow tier remains the semantic
-//! oracle (see `tests/tiered_differential.rs`).
+//! Translation preserves the slow tier's event sequence exactly: same
+//! instruction counting, same checks in the same order with the same
+//! backend calls, same halt points.  Every statistic but the two tier
+//! counters is therefore bit-identical between tiers, and the slow tier
+//! is the semantic oracle (see `tests/tiered_differential.rs`).
+//! Redundant checks are removed once, at instrumentation time
+//! (`instrument::remove_redundant_checks`), never here.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -351,9 +347,6 @@ pub enum FastInstr {
         escape: bool,
         /// Site label (index into [`FastFunction::sites`]).
         site: u32,
-        /// Record the outcome in the guard table — set only for sites
-        /// that dominate an elided check, so non-dominators pay nothing.
-        guard: bool,
     },
     /// `access_check(ptr, size, write)`.
     AccessCheck {
@@ -365,8 +358,6 @@ pub enum FastInstr {
         write: bool,
         /// Site label (index into [`FastFunction::sites`]).
         site: u32,
-        /// Record the outcome in the guard table (dominator sites only).
-        guard: bool,
     },
     /// `dst = WIDE`
     WideBounds {
@@ -391,8 +382,6 @@ pub enum FastInstr {
         site: u32,
         /// Pre-resolved access width of the load.
         kind: LoadKind,
-        /// Record the outcome in the guard table (dominator sites only).
-        guard: bool,
     },
     /// `bounds_check(ptr, check_size, bounds); *ptr = src`.
     CheckStore {
@@ -408,8 +397,6 @@ pub enum FastInstr {
         site: u32,
         /// Pre-resolved access width of the store.
         kind: LoadKind,
-        /// Record the outcome in the guard table (dominator sites only).
-        guard: bool,
     },
     /// `access_check(ptr, check_size, read); dst = *ptr`.
     AccessLoad {
@@ -423,8 +410,6 @@ pub enum FastInstr {
         site: u32,
         /// Pre-resolved access width of the load.
         kind: LoadKind,
-        /// Record the outcome in the guard table (dominator sites only).
-        guard: bool,
     },
     /// `access_check(ptr, check_size, write); *ptr = src`.
     AccessStore {
@@ -436,110 +421,6 @@ pub enum FastInstr {
         check_size: u64,
         /// Site label (index into [`FastFunction::sites`]).
         site: u32,
-        /// Pre-resolved access width of the store.
-        kind: LoadKind,
-        /// Record the outcome in the guard table (dominator sites only).
-        guard: bool,
-    },
-
-    // ----- dominated checks (check hoisting, paper §5.3) -----
-    //
-    // A check whose byte range is provably covered by an earlier check in
-    // the same straight-line run (same pointer root, same bounds value or
-    // write flag, contained offset range, no intervening call / builtin /
-    // allocation / pointer-escaping store).  At run time the backend call
-    // is skipped only when the dominating check *passed* (its result is
-    // kept in the VM's per-site guard table); when it failed, the full
-    // check runs at its own site so diagnostics stay bit-identical with
-    // the slow tier.  Either way the site ticks the instruction budget
-    // exactly like the check it replaces.
-    /// A dominated `bounds_check` (never an escape check).
-    ElidedBoundsCheck {
-        /// Checked pointer slot.
-        ptr: Slot,
-        /// Bounds slot.
-        bounds: Slot,
-        /// Access size in bytes.
-        size: u64,
-        /// Site label (index into [`FastFunction::sites`]).
-        site: u32,
-        /// Site index of the dominating check (guard-table lookup).
-        dom_site: u32,
-    },
-    /// A dominated `access_check` (same write flag as its dominator).
-    ElidedAccessCheck {
-        /// Checked pointer slot.
-        ptr: Slot,
-        /// Access size in bytes.
-        size: u64,
-        /// Write (vs. read) access.
-        write: bool,
-        /// Site label (index into [`FastFunction::sites`]).
-        site: u32,
-        /// Site index of the dominating check (guard-table lookup).
-        dom_site: u32,
-    },
-    /// [`FastInstr::CheckLoad`] whose check half is dominated.
-    ElidedCheckLoad {
-        /// Destination slot of the load.
-        dst: Slot,
-        /// Address slot (checked and loaded).
-        ptr: Slot,
-        /// Bounds slot of the check.
-        bounds: Slot,
-        /// Access size of the check.
-        check_size: u64,
-        /// Site label (index into [`FastFunction::sites`]).
-        site: u32,
-        /// Site index of the dominating check (guard-table lookup).
-        dom_site: u32,
-        /// Pre-resolved access width of the load.
-        kind: LoadKind,
-    },
-    /// [`FastInstr::CheckStore`] whose check half is dominated.
-    ElidedCheckStore {
-        /// Address slot (checked and stored to).
-        ptr: Slot,
-        /// Bounds slot of the check.
-        bounds: Slot,
-        /// Value slot.
-        src: Slot,
-        /// Access size of the check.
-        check_size: u64,
-        /// Site label (index into [`FastFunction::sites`]).
-        site: u32,
-        /// Site index of the dominating check (guard-table lookup).
-        dom_site: u32,
-        /// Pre-resolved access width of the store.
-        kind: LoadKind,
-    },
-    /// [`FastInstr::AccessLoad`] whose check half is dominated.
-    ElidedAccessLoad {
-        /// Destination slot of the load.
-        dst: Slot,
-        /// Address slot (checked and loaded).
-        ptr: Slot,
-        /// Access size of the check.
-        check_size: u64,
-        /// Site label (index into [`FastFunction::sites`]).
-        site: u32,
-        /// Site index of the dominating check (guard-table lookup).
-        dom_site: u32,
-        /// Pre-resolved access width of the load.
-        kind: LoadKind,
-    },
-    /// [`FastInstr::AccessStore`] whose check half is dominated.
-    ElidedAccessStore {
-        /// Address slot (checked and stored to).
-        ptr: Slot,
-        /// Value slot.
-        src: Slot,
-        /// Access size of the check.
-        check_size: u64,
-        /// Site label (index into [`FastFunction::sites`]).
-        site: u32,
-        /// Site index of the dominating check (guard-table lookup).
-        dom_site: u32,
         /// Pre-resolved access width of the store.
         kind: LoadKind,
     },
@@ -644,100 +525,6 @@ pub enum FastInstr {
         /// Target when falsy (fast-tier pc).
         else_target: u32,
     },
-    /// `dst = src; jump target`.
-    CopyJump {
-        /// Copy destination slot.
-        dst: Slot,
-        /// Copy source slot.
-        src: Slot,
-        /// Jump target (fast-tier pc).
-        target: u32,
-    },
-    /// `dst = src; branch cond ? then : else`.
-    CopyBranch {
-        /// Copy destination slot.
-        dst: Slot,
-        /// Copy source slot.
-        src: Slot,
-        /// Condition slot of the branch.
-        cond: Slot,
-        /// Target when truthy (fast-tier pc).
-        then_target: u32,
-        /// Target when falsy (fast-tier pc).
-        else_target: u32,
-    },
-    /// `dst1 = src1; dst = base + index * elem_size`.
-    CopyPtrAdd {
-        /// Copy destination slot.
-        dst1: Slot,
-        /// Copy source slot.
-        src1: Slot,
-        /// Pointer-add destination slot.
-        dst: Slot,
-        /// Base pointer slot.
-        base: Slot,
-        /// Index slot.
-        index: Slot,
-        /// Element size in bytes.
-        elem_size: u64,
-    },
-    /// `addr = base + index * elem_size; dst = *addr` (the load reads the
-    /// address the pointer-add just produced).
-    PtrAddLoad {
-        /// Pointer-add destination slot.
-        addr: Slot,
-        /// Base pointer slot.
-        base: Slot,
-        /// Index slot.
-        index: Slot,
-        /// Element size in bytes.
-        elem_size: u64,
-        /// Load destination slot.
-        dst: Slot,
-        /// Pre-resolved access width of the load.
-        kind: LoadKind,
-    },
-    /// `dst = *ptr; dst2 = src2`.
-    LoadCopy {
-        /// Load destination slot.
-        dst: Slot,
-        /// Address slot.
-        ptr: Slot,
-        /// Pre-resolved access width of the load.
-        kind: LoadKind,
-        /// Copy destination slot.
-        dst2: Slot,
-        /// Copy source slot.
-        src2: Slot,
-    },
-    /// `*ptr = src; dst2 = src2`.
-    StoreCopy {
-        /// Address slot.
-        ptr: Slot,
-        /// Value slot.
-        src: Slot,
-        /// Pre-resolved access width of the store.
-        kind: LoadKind,
-        /// Copy destination slot.
-        dst2: Slot,
-        /// Copy source slot.
-        src2: Slot,
-    },
-    /// `dst = *ptr_l; *ptr_s = src`.
-    LoadStore {
-        /// Load destination slot.
-        dst: Slot,
-        /// Load address slot.
-        ptr_l: Slot,
-        /// Pre-resolved access width of the load.
-        kind_l: LoadKind,
-        /// Store address slot.
-        ptr_s: Slot,
-        /// Store value slot.
-        src: Slot,
-        /// Pre-resolved access width of the store.
-        kind_s: LoadKind,
-    },
 }
 
 /// A function promoted to the fast tier: the pre-resolved body plus the
@@ -761,542 +548,20 @@ pub struct FastFunction {
     pub args: Vec<Slot>,
 }
 
-/// A memoisable pure expression over value numbers, used by the check
-/// elision planner to recognise recomputed values (`a[i]` spelled twice
-/// lowers to two separate address chains over fresh slots, which the static
-/// instrumentation-time dedup cannot see through).
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum ExprKey {
-    ConstInt(i64),
-    ConstFloat(u64),
-    ConstNull,
-    Bin(u8, bool, u32, u32),
-    Un(u8, bool, u32),
-    FieldAddr(u32, u64),
-    PtrAdd(u32, u32, u64),
-    CastPtr(u32),
-    CastPtrToInt(u32),
-    CastFloat(u32),
-    CastInt(u32),
-    Global(String),
-    Wide,
-    /// `bounds_get` result: deterministic for a given pointer value while
-    /// allocator state is unchanged (the window resets on every clobber).
-    BoundsGet(u32),
-    /// `type_check` result: same determinism argument; the check itself is
-    /// never elided, only its result value is numbered.
-    TypeCheckOf(u32, u32),
-    /// `cast_check` result.
-    CastCheckOf(u32, u32),
-    /// `bounds_narrow` result.
-    Narrow(u32, u32, u64),
-}
-
-/// A check still live as a potential dominator in the current run.
-struct DomCheck {
-    /// Slow-tier body index of the check.
-    body_idx: usize,
-    /// Bounds-operand value number (`None` for per-access checks).
-    bounds_vn: Option<u32>,
-    /// Write flag (per-access checks only).
-    write: bool,
-    /// Pointer root value number.
-    root: u32,
-    /// Constant byte offset from the root.
-    off: i64,
-    /// Access size in bytes.
-    size: u64,
-}
-
-/// Value-numbering state for the check-elision planner (the paper's §5.3
-/// redundant-check elimination, applied at translation time).
-///
-/// Within one elision window — a straight-line stretch containing no jump
-/// target, call, builtin, allocation or pointer-escaping store — every
-/// value is assigned an SSA-style value number (slot writes remap the slot,
-/// they never invalidate old numbers), pure expressions are memoised so
-/// recomputed addresses compare equal, and each pointer number reduces to
-/// `(root, constant byte offset)`.  A dereference check is dominated when
-/// an earlier live check has the same root, the same bounds value (or the
-/// same write flag for per-access checks) and a byte range containing the
-/// later check's range: whenever the earlier check passes, the later one
-/// must pass too.  Clobbers reset the whole window because a call or free
-/// can rebind META / shadow state and change check outcomes (the
-/// `uaf-between-dominated-checks` conformance scenario pins this).
-#[derive(Default)]
-struct Eliminator {
-    next_vn: u32,
-    slot_vn: HashMap<Slot, u32>,
-    memo: HashMap<ExprKey, u32>,
-    /// Pointer value number → (root value number, byte offset).
-    loc: HashMap<u32, (u32, i64)>,
-    /// Value numbers with a known constant integer value.
-    const_int: HashMap<u32, i64>,
-    doms: Vec<DomCheck>,
-}
-
-impl Eliminator {
-    /// End the current elision window (run boundary or clobber).
-    fn reset(&mut self) {
-        self.slot_vn.clear();
-        self.memo.clear();
-        self.loc.clear();
-        self.const_int.clear();
-        self.doms.clear();
-    }
-
-    fn fresh(&mut self) -> u32 {
-        let v = self.next_vn;
-        self.next_vn += 1;
-        v
-    }
-
-    /// Current value number of a slot (fresh and opaque if unknown — a
-    /// parameter or a value computed before the window started).
-    fn slot(&mut self, s: Slot) -> u32 {
-        if let Some(&v) = self.slot_vn.get(&s) {
-            return v;
-        }
-        let v = self.fresh();
-        self.slot_vn.insert(s, v);
-        v
-    }
-
-    fn set(&mut self, s: Slot, v: u32) {
-        self.slot_vn.insert(s, v);
-    }
-
-    fn expr(&mut self, key: ExprKey) -> u32 {
-        if let Some(&v) = self.memo.get(&key) {
-            return v;
-        }
-        let v = self.fresh();
-        self.memo.insert(key, v);
-        v
-    }
-
-    /// `(root, offset)` of a pointer value number (itself at offset 0 when
-    /// not derived from another pointer).
-    fn loc_of(&mut self, vn: u32) -> (u32, i64) {
-        *self.loc.entry(vn).or_insert((vn, 0))
-    }
-
-    /// Find a live dominator covering `[off, off+size)` with a matching
-    /// bounds value / write flag.  Offset arithmetic is checked: a range
-    /// that would overflow simply declines elision.
-    fn find_dom(
-        &self,
-        bounds_vn: Option<u32>,
-        write: bool,
-        root: u32,
-        off: i64,
-        size: u64,
-    ) -> Option<usize> {
-        if size > i64::MAX as u64 {
-            return None;
-        }
-        let end = off.checked_add(size as i64)?;
-        for d in &self.doms {
-            if d.bounds_vn != bounds_vn || d.root != root {
-                continue;
-            }
-            if bounds_vn.is_none() && d.write != write {
-                continue;
-            }
-            if d.size > i64::MAX as u64 {
-                continue;
-            }
-            let Some(dom_end) = d.off.checked_add(d.size as i64) else {
-                continue;
-            };
-            if off >= d.off && end <= dom_end {
-                return Some(d.body_idx);
-            }
-        }
-        None
-    }
-}
-
-/// Plan check elisions for a function body: map each dominated check's
-/// body index to its dominating check's body index.
-fn plan_elisions(body: &[Instr], jump_target: &[bool]) -> HashMap<usize, usize> {
-    let mut e = Eliminator::default();
-    let mut dom_of = HashMap::new();
-    for (i, instr) in body.iter().enumerate() {
-        if jump_target[i] {
-            e.reset();
-        }
-        match instr {
-            Instr::Nop => {}
-            Instr::Const { dst, value } => {
-                let vn = match value {
-                    Const::Int(v) => {
-                        let vn = e.expr(ExprKey::ConstInt(*v));
-                        e.const_int.insert(vn, *v);
-                        vn
-                    }
-                    Const::Float(v) => e.expr(ExprKey::ConstFloat(v.to_bits())),
-                    Const::Null => e.expr(ExprKey::ConstNull),
-                };
-                e.set(*dst, vn);
-            }
-            Instr::Copy { dst, src } => {
-                let v = e.slot(*src);
-                e.set(*dst, v);
-            }
-            Instr::Bin {
-                dst,
-                op,
-                lhs,
-                rhs,
-                float,
-            } => {
-                let l = e.slot(*lhs);
-                let r = e.slot(*rhs);
-                let vn = e.expr(ExprKey::Bin(*op as u8, *float, l, r));
-                e.set(*dst, vn);
-            }
-            Instr::Un {
-                dst,
-                op,
-                src,
-                float,
-            } => {
-                let s = e.slot(*src);
-                let vn = e.expr(ExprKey::Un(*op as u8, *float, s));
-                e.set(*dst, vn);
-            }
-            Instr::Alloca { dst, .. } => {
-                // `on_alloc` mutates allocator state: end the window.
-                e.reset();
-                let v = e.fresh();
-                e.set(*dst, v);
-            }
-            Instr::GlobalAddr { dst, name } => {
-                let vn = e.expr(ExprKey::Global(name.clone()));
-                e.set(*dst, vn);
-            }
-            Instr::Load { dst, .. } => {
-                let v = e.fresh();
-                e.set(*dst, v);
-            }
-            Instr::Store { ty, .. } => {
-                // A stored pointer value may escape; plain data stores
-                // cannot affect check outcomes (checks read slots and
-                // allocator meta data, never program memory).
-                if ty.is_pointer() {
-                    e.reset();
-                }
-            }
-            Instr::FieldAddr {
-                dst, base, offset, ..
-            } => {
-                let b = e.slot(*base);
-                let vn = e.expr(ExprKey::FieldAddr(b, *offset));
-                let (root, off) = e.loc_of(b);
-                e.loc.insert(vn, (root, off.wrapping_add(*offset as i64)));
-                e.set(*dst, vn);
-            }
-            Instr::PtrAdd {
-                dst,
-                base,
-                index,
-                elem_size,
-                ..
-            } => {
-                let b = e.slot(*base);
-                let idx = e.slot(*index);
-                let vn = e.expr(ExprKey::PtrAdd(b, idx, *elem_size));
-                if let Some(&c) = e.const_int.get(&idx) {
-                    let (root, off) = e.loc_of(b);
-                    // Mirrors the runtime's wrapping pointer arithmetic.
-                    let delta = c.wrapping_mul(*elem_size as i64);
-                    e.loc.insert(vn, (root, off.wrapping_add(delta)));
-                }
-                e.set(*dst, vn);
-            }
-            Instr::Cast {
-                dst,
-                src,
-                kind,
-                to_ty,
-                ..
-            } => {
-                let s = e.slot(*src);
-                let vn = match kind {
-                    CastKind::Bit | CastKind::IntToPtr => {
-                        let vn = e.expr(ExprKey::CastPtr(s));
-                        let l = e.loc_of(s);
-                        e.loc.insert(vn, l);
-                        vn
-                    }
-                    CastKind::PtrToInt => e.expr(ExprKey::CastPtrToInt(s)),
-                    CastKind::Numeric => {
-                        if to_ty.is_float() {
-                            e.expr(ExprKey::CastFloat(s))
-                        } else {
-                            let vn = e.expr(ExprKey::CastInt(s));
-                            if let Some(&c) = e.const_int.get(&s) {
-                                e.const_int.insert(vn, c);
-                            }
-                            vn
-                        }
-                    }
-                };
-                e.set(*dst, vn);
-            }
-            Instr::Call { dst, .. } => {
-                // The callee may free / rebind META: end the window.
-                e.reset();
-                if let Some(d) = dst {
-                    let v = e.fresh();
-                    e.set(*d, v);
-                }
-            }
-            Instr::CallBuiltin { dst, .. } => {
-                // free/realloc rebind META; treat every builtin as a
-                // clobber (they are rare inside hot runs).
-                e.reset();
-                if let Some(d) = dst {
-                    let v = e.fresh();
-                    e.set(*d, v);
-                }
-            }
-            Instr::Jump { .. } | Instr::Branch { .. } | Instr::Return { .. } => e.reset(),
-            Instr::TypeCheck {
-                dst, ptr, ty_id, ..
-            } => {
-                let p = e.slot(*ptr);
-                let vn = e.expr(ExprKey::TypeCheckOf(p, ty_id.index() as u32));
-                e.set(*dst, vn);
-            }
-            Instr::CastCheck {
-                dst, ptr, ty_id, ..
-            } => {
-                let p = e.slot(*ptr);
-                let vn = e.expr(ExprKey::CastCheckOf(p, ty_id.index() as u32));
-                e.set(*dst, vn);
-            }
-            Instr::BoundsGet { dst, ptr } => {
-                let p = e.slot(*ptr);
-                let vn = e.expr(ExprKey::BoundsGet(p));
-                e.set(*dst, vn);
-            }
-            Instr::BoundsNarrow {
-                dst,
-                bounds,
-                field_base,
-                size,
-            } => {
-                let b = e.slot(*bounds);
-                let f = e.slot(*field_base);
-                let vn = e.expr(ExprKey::Narrow(b, f, *size));
-                e.set(*dst, vn);
-            }
-            Instr::WideBounds { dst } => {
-                let vn = e.expr(ExprKey::Wide);
-                e.set(*dst, vn);
-            }
-            Instr::BoundsCheck {
-                ptr,
-                bounds,
-                size,
-                escape: false,
-                ..
-            } => {
-                let p = e.slot(*ptr);
-                let b = e.slot(*bounds);
-                let (root, off) = e.loc_of(p);
-                match e.find_dom(Some(b), false, root, off, *size) {
-                    Some(d) => {
-                        dom_of.insert(i, d);
-                    }
-                    None => e.doms.push(DomCheck {
-                        body_idx: i,
-                        bounds_vn: Some(b),
-                        write: false,
-                        root,
-                        off,
-                        size: *size,
-                    }),
-                }
-            }
-            // Escape checks never participate: they classify differently
-            // on failure and guard pointer stores, which clobber anyway.
-            Instr::BoundsCheck { escape: true, .. } => {}
-            Instr::AccessCheck {
-                ptr, size, write, ..
-            } => {
-                let p = e.slot(*ptr);
-                let (root, off) = e.loc_of(p);
-                match e.find_dom(None, *write, root, off, *size) {
-                    Some(d) => {
-                        dom_of.insert(i, d);
-                    }
-                    None => e.doms.push(DomCheck {
-                        body_idx: i,
-                        bounds_vn: None,
-                        write: *write,
-                        root,
-                        off,
-                        size: *size,
-                    }),
-                }
-            }
-        }
-    }
-    dom_of
-}
-
-/// The elided encoding of a dominated check at `body[i]`, fused with its
-/// access exactly where the plain translation would fuse.  Returns the
-/// instruction and how many slow-tier instructions it consumed.
-fn elided_form(
-    instr: &Instr,
-    next: Option<&Instr>,
-    dom_site: u32,
-    registry: &TypeRegistry,
-    out: &mut FastFunction,
-) -> Option<(FastInstr, usize)> {
-    match (instr, next) {
-        (
-            Instr::BoundsCheck {
-                ptr,
-                bounds,
-                size,
-                escape: false,
-                loc,
-            },
-            Some(Instr::Load { dst, ptr: p2, ty }),
-        ) if p2 == ptr => Some((
-            FastInstr::ElidedCheckLoad {
-                dst: *dst,
-                ptr: *ptr,
-                bounds: *bounds,
-                check_size: *size,
-                site: out.push_site(loc),
-                dom_site,
-                kind: LoadKind::of(registry, ty),
-            },
-            2,
-        )),
-        (
-            Instr::BoundsCheck {
-                ptr,
-                bounds,
-                size,
-                escape: false,
-                loc,
-            },
-            Some(Instr::Store { ptr: p2, src, ty }),
-        ) if p2 == ptr => Some((
-            FastInstr::ElidedCheckStore {
-                ptr: *ptr,
-                bounds: *bounds,
-                src: *src,
-                check_size: *size,
-                site: out.push_site(loc),
-                dom_site,
-                kind: LoadKind::of(registry, ty),
-            },
-            2,
-        )),
-        (
-            Instr::AccessCheck {
-                ptr,
-                size,
-                write: false,
-                loc,
-            },
-            Some(Instr::Load { dst, ptr: p2, ty }),
-        ) if p2 == ptr => Some((
-            FastInstr::ElidedAccessLoad {
-                dst: *dst,
-                ptr: *ptr,
-                check_size: *size,
-                site: out.push_site(loc),
-                dom_site,
-                kind: LoadKind::of(registry, ty),
-            },
-            2,
-        )),
-        (
-            Instr::AccessCheck {
-                ptr,
-                size,
-                write: true,
-                loc,
-            },
-            Some(Instr::Store { ptr: p2, src, ty }),
-        ) if p2 == ptr => Some((
-            FastInstr::ElidedAccessStore {
-                ptr: *ptr,
-                src: *src,
-                check_size: *size,
-                site: out.push_site(loc),
-                dom_site,
-                kind: LoadKind::of(registry, ty),
-            },
-            2,
-        )),
-        (
-            Instr::BoundsCheck {
-                ptr,
-                bounds,
-                size,
-                escape: false,
-                loc,
-            },
-            _,
-        ) => Some((
-            FastInstr::ElidedBoundsCheck {
-                ptr: *ptr,
-                bounds: *bounds,
-                size: *size,
-                site: out.push_site(loc),
-                dom_site,
-            },
-            1,
-        )),
-        (
-            Instr::AccessCheck {
-                ptr,
-                size,
-                write,
-                loc,
-            },
-            _,
-        ) => Some((
-            FastInstr::ElidedAccessCheck {
-                ptr: *ptr,
-                size: *size,
-                write: *write,
-                site: out.push_site(loc),
-                dom_site,
-            },
-            1,
-        )),
-        _ => None,
-    }
-}
-
 impl FastFunction {
     /// Translate a slow-tier function into its fast form.
     ///
     /// `globals` resolves `GlobalAddr` names, `func_index` resolves
     /// callees, and `check_type_map` maps the program's instrument-time
     /// [`TypeId`]s to the backend's id space (as built by the VM at
-    /// load time).  `hoist` enables the dominance-based check-elision pass
-    /// (see [`crate::VmConfig::hoist_checks`] and the `SAN_NO_HOIST`
-    /// environment toggle); with it off, translation is a pure
-    /// re-encoding.
+    /// load time).  Translation is a pure re-encoding: every check site of
+    /// `func` becomes exactly one check (plain or fused) in the fast form.
     pub fn translate(
         func: &Function,
         registry: &TypeRegistry,
         globals: &HashMap<String, Ptr>,
         func_index: &HashMap<String, u32>,
         check_type_map: &[TypeId],
-        hoist: bool,
     ) -> FastFunction {
         let body = &func.body;
         let mut jump_target = vec![false; body.len() + 1];
@@ -1324,20 +589,6 @@ impl FastFunction {
             args: Vec::new(),
         };
 
-        // Check hoisting: which checks are dominated, and by whom.
-        let dom_of = if hoist {
-            plan_elisions(body, &jump_target)
-        } else {
-            HashMap::new()
-        };
-        // Body index of a kept check → its site index, so a dominated
-        // check can name its dominator's guard slot (translation is
-        // in-order, so the dominator's site always exists first).
-        let mut site_of_body: HashMap<usize, u32> = HashMap::new();
-        // Sites that dominate at least one elided check carry `guard:
-        // true`, so only they pay the guard-table write at run time.
-        let dominators: std::collections::HashSet<usize> = dom_of.values().copied().collect();
-
         let mut i = 0;
         while i < body.len() {
             out.pc_map[i] = out.body.len() as u32;
@@ -1349,14 +600,6 @@ impl FastFunction {
             } else {
                 None
             };
-            if let Some(dom_site) = dom_of.get(&i).and_then(|d| site_of_body.get(d)).copied() {
-                if let Some((f, width)) = elided_form(&body[i], next, dom_site, registry, &mut out)
-                {
-                    out.body.push(f);
-                    i += width;
-                    continue;
-                }
-            }
             let fused = match (&body[i], next) {
                 (
                     Instr::BoundsCheck {
@@ -1374,7 +617,6 @@ impl FastFunction {
                     check_size: *size,
                     site: out.push_site(loc),
                     kind: LoadKind::of(registry, ty),
-                    guard: false,
                 }),
                 (
                     Instr::BoundsCheck {
@@ -1392,7 +634,6 @@ impl FastFunction {
                     check_size: *size,
                     site: out.push_site(loc),
                     kind: LoadKind::of(registry, ty),
-                    guard: false,
                 }),
                 (
                     Instr::AccessCheck {
@@ -1408,7 +649,6 @@ impl FastFunction {
                     check_size: *size,
                     site: out.push_site(loc),
                     kind: LoadKind::of(registry, ty),
-                    guard: false,
                 }),
                 (
                     Instr::AccessCheck {
@@ -1424,7 +664,6 @@ impl FastFunction {
                     check_size: *size,
                     site: out.push_site(loc),
                     kind: LoadKind::of(registry, ty),
-                    guard: false,
                 }),
                 // Plain pairs (see the `FastInstr` superinstruction docs):
                 // branch/jump targets are emitted as slow-tier pcs here and
@@ -1522,121 +761,14 @@ impl FastFunction {
                     then_target: *then_target as u32,
                     else_target: *else_target as u32,
                 }),
-                (Instr::Copy { dst, src }, Some(Instr::Jump { target })) => {
-                    Some(FastInstr::CopyJump {
-                        dst: *dst,
-                        src: *src,
-                        target: *target as u32,
-                    })
-                }
-                (
-                    Instr::Copy { dst, src },
-                    Some(Instr::Branch {
-                        cond,
-                        then_target,
-                        else_target,
-                    }),
-                ) => Some(FastInstr::CopyBranch {
-                    dst: *dst,
-                    src: *src,
-                    cond: *cond,
-                    then_target: *then_target as u32,
-                    else_target: *else_target as u32,
-                }),
-                (
-                    Instr::Copy { dst, src },
-                    Some(Instr::PtrAdd {
-                        dst: pd,
-                        base,
-                        index,
-                        elem_size,
-                        ..
-                    }),
-                ) => Some(FastInstr::CopyPtrAdd {
-                    dst1: *dst,
-                    src1: *src,
-                    dst: *pd,
-                    base: *base,
-                    index: *index,
-                    elem_size: *elem_size,
-                }),
-                (
-                    Instr::PtrAdd {
-                        dst,
-                        base,
-                        index,
-                        elem_size,
-                        ..
-                    },
-                    Some(Instr::Load { dst: ld, ptr, ty }),
-                ) if ptr == dst => Some(FastInstr::PtrAddLoad {
-                    addr: *dst,
-                    base: *base,
-                    index: *index,
-                    elem_size: *elem_size,
-                    dst: *ld,
-                    kind: LoadKind::of(registry, ty),
-                }),
-                (Instr::Load { dst, ptr, ty }, Some(Instr::Copy { dst: d2, src: s2 })) => {
-                    Some(FastInstr::LoadCopy {
-                        dst: *dst,
-                        ptr: *ptr,
-                        kind: LoadKind::of(registry, ty),
-                        dst2: *d2,
-                        src2: *s2,
-                    })
-                }
-                (Instr::Store { ptr, src, ty }, Some(Instr::Copy { dst: d2, src: s2 })) => {
-                    Some(FastInstr::StoreCopy {
-                        ptr: *ptr,
-                        src: *src,
-                        kind: LoadKind::of(registry, ty),
-                        dst2: *d2,
-                        src2: *s2,
-                    })
-                }
-                (
-                    Instr::Load { dst, ptr, ty },
-                    Some(Instr::Store {
-                        ptr: sp,
-                        src,
-                        ty: sty,
-                    }),
-                ) => Some(FastInstr::LoadStore {
-                    dst: *dst,
-                    ptr_l: *ptr,
-                    kind_l: LoadKind::of(registry, ty),
-                    ptr_s: *sp,
-                    src: *src,
-                    kind_s: LoadKind::of(registry, sty),
-                }),
                 _ => None,
             };
-            if let Some(mut f) = fused {
-                if let FastInstr::CheckLoad { site, guard, .. }
-                | FastInstr::CheckStore { site, guard, .. }
-                | FastInstr::AccessLoad { site, guard, .. }
-                | FastInstr::AccessStore { site, guard, .. } = &mut f
-                {
-                    site_of_body.insert(i, *site);
-                    *guard = dominators.contains(&i);
-                }
+            if let Some(f) = fused {
                 out.body.push(f);
                 i += 2;
                 continue;
             }
-            let mut fi = out.translate_one(&body[i], registry, globals, func_index, check_type_map);
-            if let FastInstr::BoundsCheck {
-                site,
-                escape: false,
-                guard,
-                ..
-            }
-            | FastInstr::AccessCheck { site, guard, .. } = &mut fi
-            {
-                site_of_body.insert(i, *site);
-                *guard = dominators.contains(&i);
-            }
+            let fi = out.translate_one(&body[i], registry, globals, func_index, check_type_map);
             out.body.push(fi);
             i += 1;
         }
@@ -1647,20 +779,13 @@ impl FastFunction {
         // requires the access not be one), so its `pc_map` entry is valid.
         for fi in &mut out.body {
             match fi {
-                FastInstr::Jump { target } | FastInstr::CopyJump { target, .. } => {
-                    *target = out.pc_map[*target as usize]
-                }
+                FastInstr::Jump { target } => *target = out.pc_map[*target as usize],
                 FastInstr::Branch {
                     then_target,
                     else_target,
                     ..
                 }
                 | FastInstr::BinBranch {
-                    then_target,
-                    else_target,
-                    ..
-                }
-                | FastInstr::CopyBranch {
                     then_target,
                     else_target,
                     ..
@@ -1920,7 +1045,6 @@ impl FastFunction {
                 size: *size,
                 escape: *escape,
                 site: self.push_site(loc),
-                guard: false,
             },
             Instr::AccessCheck {
                 ptr,
@@ -1932,7 +1056,6 @@ impl FastFunction {
                 size: *size,
                 write: *write,
                 site: self.push_site(loc),
-                guard: false,
             },
             Instr::WideBounds { dst } => FastInstr::WideBounds { dst: *dst },
         }

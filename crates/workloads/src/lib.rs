@@ -26,4 +26,4 @@ pub mod spec;
 
 pub use bugs::{bug, catalogue, SeededBug};
 pub use firefox::{FirefoxWorkload, BROWSER_BENCHMARKS};
-pub use spec::{Scale, SpecBenchmark};
+pub use spec::{ParseScaleError, Scale, SpecBenchmark};

@@ -52,6 +52,36 @@ impl Scale {
     }
 }
 
+/// The error of parsing an unknown [`Scale`] spelling.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParseScaleError(pub String);
+
+impl std::fmt::Display for ParseScaleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown scale `{}` (expected test, small, ref or reference)",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for ParseScaleError {}
+
+impl std::str::FromStr for Scale {
+    type Err = ParseScaleError;
+
+    /// `test`, `small`, `ref` or `reference`, in any letter case.
+    fn from_str(s: &str) -> Result<Scale, ParseScaleError> {
+        match s.to_ascii_lowercase().as_str() {
+            "test" => Ok(Scale::Test),
+            "small" => Ok(Scale::Small),
+            "ref" | "reference" => Ok(Scale::Reference),
+            _ => Err(ParseScaleError(s.to_string())),
+        }
+    }
+}
+
 /// Per-kernel driver functions layered over the kernels.
 const DRIVER_LIST: &str = r#"
 long drive_list(int n) {
@@ -508,6 +538,24 @@ impl SpecBenchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_parses_every_accepted_spelling_and_nothing_else() {
+        for (text, scale) in [
+            ("test", Scale::Test),
+            ("small", Scale::Small),
+            ("ref", Scale::Reference),
+            ("reference", Scale::Reference),
+            ("REF", Scale::Reference),
+        ] {
+            assert_eq!(text.parse::<Scale>(), Ok(scale), "{text}");
+        }
+        for bad in ["refrence", "", "large", "smal"] {
+            let err = bad.parse::<Scale>().unwrap_err();
+            assert_eq!(err, ParseScaleError(bad.to_string()));
+            assert!(err.to_string().contains("test, small, ref or reference"));
+        }
+    }
 
     #[test]
     fn there_are_nineteen_benchmarks_matching_figure7() {

@@ -3,7 +3,8 @@
 //! skips AddressSanitizer's red-zone, a far-OOB `memcpy` caught only by
 //! whole-range guards on the builtin's pointer arguments, use-after-free
 //! surviving quarantine exhaustion, a use-after-free between two
-//! would-be-dominated checks (pinning the fast tier's hoisting rule),
+//! checks of the same field (pinning that every check re-consults the
+//! allocator),
 //! and a same-type reuse-after-free — executed across
 //! **every** backend in the `san-api` registry, asserting each tool's
 //! expected detect/miss matrix from the paper's tool comparison
@@ -175,19 +176,17 @@ const SCENARIOS: [Scenario; 10] = [
                 return qread(first);
             }",
     },
-    // A use-after-free sandwiched between two accesses that the fast
-    // tier's check-hoisting pass would otherwise consider dominated: the
-    // first `d->a` access checks the pointer, `free(dead)` (with dead ==
-    // d on the final call) rebinds the allocation's META to FREE, and the
-    // second `d->a` access must re-consult the allocator — eliding it as
-    // "covered by the first check" hides the UAF.  The hoisting pass
-    // therefore never elides across a call or free-reaching builtin; this
-    // scenario pins that rule.  The detect column is temporal-tool
+    // A use-after-free sandwiched between two accesses to the same
+    // field: the first `d->a` access checks the pointer, `free(dead)`
+    // (with dead == d on the final call) rebinds the allocation's META to
+    // FREE, and the second `d->a` access must re-consult the allocator —
+    // treating it as "covered by the first check" hides the UAF.  Both
+    // tiers make every check's backend call; this scenario pins that
+    // across the call.  The detect column is temporal-tool
     // territory: ASan/Memcheck see the freed block, CETS invalidates the
     // identifier.  EffectiveSan's bounds for `d` were (legitimately)
     // computed at function entry, before the free — the in-function
-    // temporal gap is its documented §2.4-style blind spot, independent
-    // of hoisting.
+    // temporal gap is its documented §2.4-style blind spot.
     Scenario {
         name: "uaf-between-dominated-checks",
         column: Column::Temporal,
