@@ -62,19 +62,9 @@ impl SubObject {
     }
 }
 
-/// Options controlling the layout computation.
-#[derive(Clone, Copy, Debug)]
-pub struct LayoutOptions {
-    /// Maximum recursion depth (defence against pathological inputs;
-    /// realistic C/C++ types nest far below this).
-    pub max_depth: u32,
-}
-
-impl Default for LayoutOptions {
-    fn default() -> Self {
-        LayoutOptions { max_depth: 256 }
-    }
-}
+/// Maximum recursion depth of the layout computation (defence against
+/// pathological inputs; realistic C/C++ types nest far below this).
+const MAX_LAYOUT_DEPTH: u32 = 256;
 
 /// Compute `L(ty, offset)`: every valid sub-object at byte offset `offset`
 /// from the base of an object of dynamic type `ty`.
@@ -93,18 +83,8 @@ pub fn layout_at(
     ty: &Type,
     offset: u64,
 ) -> Result<Vec<SubObject>, TypeError> {
-    layout_at_with(registry, ty, offset, LayoutOptions::default())
-}
-
-/// [`layout_at`] with explicit [`LayoutOptions`].
-pub fn layout_at_with(
-    registry: &TypeRegistry,
-    ty: &Type,
-    offset: u64,
-    options: LayoutOptions,
-) -> Result<Vec<SubObject>, TypeError> {
     let mut out = Vec::new();
-    collect(registry, ty, offset, options.max_depth, &mut out)?;
+    collect(registry, ty, offset, MAX_LAYOUT_DEPTH, &mut out)?;
     dedup(&mut out);
     Ok(out)
 }

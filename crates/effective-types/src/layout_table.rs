@@ -16,8 +16,7 @@
 //! FAM-specific normalisation of §5.
 //!
 //! This module implements that table per allocation element type
-//! ([`TypeLayout`]) plus a cache keyed by allocation type ([`LayoutTable`]),
-//! including:
+//! ([`TypeLayout`]; the runtime caches one per interned type), including:
 //!
 //! * the tie-breaking rules (wider bounds preferred, one-past-the-end
 //!   matches last);
@@ -35,7 +34,6 @@
 //! and property-tested equal to the interned path.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 use crate::intern::{TypeId, TypeInterner, TypeTraits};
 use crate::layout::{layout_at, SubObject};
@@ -533,74 +531,6 @@ fn collect_interesting_offsets(
     Ok(())
 }
 
-/// A cache of [`TypeLayout`] tables keyed by interned allocation element
-/// type id.
-///
-/// The paper generates type meta data per compiled module and deduplicates
-/// via weak symbols; here the cache plays the same role for library users
-/// building layouts outside a runtime.  (`TypeCheckRuntime` itself embeds
-/// a denser `TypeId`-indexed vector on its hot path rather than this map.)
-/// The cache is not synchronised; the table itself is immutable once
-/// built, matching "the type meta data is constant".
-#[derive(Debug, Default)]
-pub struct LayoutTable {
-    cache: HashMap<TypeId, Arc<TypeLayout>>,
-}
-
-impl LayoutTable {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached allocation types.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// Total number of `(S, k)` entries across all cached types.
-    pub fn total_entries(&self) -> usize {
-        self.cache.values().map(|t| t.entry_count()).sum()
-    }
-
-    /// Get (building and caching if necessary) the layout for the given
-    /// allocation element type, interning it first.
-    pub fn layout_for(
-        &mut self,
-        registry: &TypeRegistry,
-        interner: &mut TypeInterner,
-        element: &Type,
-    ) -> Result<Arc<TypeLayout>, TypeError> {
-        let id = interner.intern(element);
-        self.layout_for_id(registry, interner, id)
-    }
-
-    /// Get (building and caching if necessary) the layout for an already
-    /// interned allocation element type id.
-    pub fn layout_for_id(
-        &mut self,
-        registry: &TypeRegistry,
-        interner: &mut TypeInterner,
-        id: TypeId,
-    ) -> Result<Arc<TypeLayout>, TypeError> {
-        if let Some(t) = self.cache.get(&id) {
-            return Ok(t.clone());
-        }
-        let element = interner
-            .resolve(id)
-            .cloned()
-            .ok_or(TypeError::UnresolvedTypeId(id.raw()))?;
-        let built = Arc::new(TypeLayout::build(registry, interner, &element)?);
-        self.cache.insert(id, built.clone());
-        Ok(built)
-    }
-}
-
 /// The structural reference implementation of the layout table: entries
 /// keyed by `(Type, u64)` with deep structural hashing and per-lookup key
 /// cloning — the exact pre-interning code path, kept as the oracle for the
@@ -903,31 +833,6 @@ mod tests {
         assert!(table.lookup(&interner, &Type::int(), 0).is_none());
         assert!(table.lookup(&interner, &Type::char_(), 0).is_none());
         assert!(table.lookup(&interner, &Type::Free, 0).is_none());
-    }
-
-    #[test]
-    fn cache_reuses_built_tables() {
-        let reg = paper_registry();
-        let mut interner = TypeInterner::new();
-        let mut cache = LayoutTable::new();
-        let a = cache
-            .layout_for(&reg, &mut interner, &Type::struct_("T"))
-            .unwrap();
-        let b = cache
-            .layout_for(&reg, &mut interner, &Type::struct_("T"))
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
-        // Arrays of T share the same element table.
-        let c = cache
-            .layout_for(&reg, &mut interner, &Type::array(Type::struct_("T"), 100))
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &c));
-        assert!(cache.total_entries() > 0);
-        // The id-keyed entry point resolves to the same table.
-        let id = interner.get(&Type::struct_("T")).unwrap();
-        let d = cache.layout_for_id(&reg, &mut interner, id).unwrap();
-        assert!(Arc::ptr_eq(&a, &d));
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub struct Unit {
     /// Record (struct/class/union) definitions, in order.
     pub records: Vec<RecordDecl>,
     /// Global variable definitions.
-    pub globals: Vec<GlobalDecl>,
+    pub globals: Vec<VarDecl>,
     /// Function definitions.
     pub functions: Vec<FunctionDecl>,
 }
@@ -61,14 +61,14 @@ pub struct FieldDecl {
     pub loc: Loc,
 }
 
-/// A global variable definition.
+/// A variable declaration, global or local: one declarator.
 #[derive(Clone, Debug, PartialEq)]
-pub struct GlobalDecl {
+pub struct VarDecl {
     /// Variable name.
     pub name: String,
     /// Variable type.
     pub ty: Type,
-    /// Optional constant initialiser.
+    /// Optional initialiser (a constant for globals).
     pub init: Option<Expr>,
     /// Source location.
     pub loc: Loc,
@@ -103,17 +103,8 @@ pub struct ParamDecl {
 /// Statements.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Stmt {
-    /// A local variable declaration with optional initialiser.
-    Decl {
-        /// Variable name.
-        name: String,
-        /// Declared type.
-        ty: Type,
-        /// Initialiser expression.
-        init: Option<Expr>,
-        /// Source location.
-        loc: Loc,
-    },
+    /// A local variable declaration.
+    Decl(VarDecl),
     /// An expression evaluated for its side effects.
     Expr(Expr),
     /// `if (cond) then else`
@@ -147,8 +138,9 @@ pub enum Stmt {
     },
     /// `for (init; cond; step) body`
     For {
-        /// Init statement (declaration or expression).
-        init: Option<Box<Stmt>>,
+        /// Init clause: the declarations of its declarators, or one
+        /// expression statement; empty when absent.  Scoped to the loop.
+        init: Vec<Stmt>,
         /// Condition (absent means `true`).
         cond: Option<Expr>,
         /// Step expression.
@@ -248,17 +240,21 @@ pub enum Expr {
         /// Source location.
         loc: Loc,
     },
-    /// Assignment `lhs = rhs` (also `+=`, `-=` desugared by the parser).
+    /// Assignment `lhs = rhs`, compound assignment `lhs op= rhs`, and
+    /// `++`/`--` (as `lhs += 1` / `lhs -= 1`).  `lhs` is evaluated once.
     Assign {
         /// Assignment target (an lvalue expression).
         lhs: Box<Expr>,
-        /// Value.
+        /// The operator combining the old value with `rhs`; `None` for `=`.
+        op: Option<BinOp>,
+        /// Value, or the right operand of `op`.
         rhs: Box<Expr>,
+        /// Postfix `++`/`--`: the expression yields the old value.
+        postfix: bool,
         /// Source location.
         loc: Loc,
     },
-    /// Pre/post increment/decrement, desugared to `x = x ± 1` by the
-    /// parser; never appears after parsing.
+    /// Subscript `base[index]`.
     Index {
         /// Base expression (array or pointer).
         base: Box<Expr>,

@@ -75,6 +75,26 @@ mod tests {
     }
 
     #[test]
+    fn update_chains_compile_in_linear_time() {
+        // 30 prefix `--`s: each one used to copy its operand twice, so
+        // the AST, and the time to build it, doubled per `--`.
+        let src = format!("int f(int y) {{ return {}y; }}", "--".repeat(30));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let compiler = std::thread::spawn(move || tx.send(super::compile(&src).map(|_| ())));
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a 30-deep `--` chain must compile within 10 s");
+        compiler
+            .join()
+            .expect("compile thread")
+            .expect("receiver alive");
+        // `--y` is not an lvalue, so only the innermost `--` is valid.
+        let err = result.unwrap_err();
+        assert!(err.to_string().contains("not an lvalue"), "{err}");
+        assert!(super::compile("int f(int y) { return --y; }").is_ok());
+    }
+
+    #[test]
     fn compile_reports_parse_and_sema_errors() {
         assert!(super::compile("int f( {").is_err());
         assert!(super::compile("int f() { return undefined_var; }").is_err());

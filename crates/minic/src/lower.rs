@@ -7,6 +7,11 @@
 //! type of its first lvalue usage — in practice the cast or the declared
 //! type of the variable it initialises).
 //!
+//! An assignment lowers its target lvalue once.  For `op=` and `++`/`--`
+//! it then reads the old value as an rvalue read would, combines it with
+//! the right operand in the same step a binary operator uses, and writes
+//! the result back.  A postfix update yields the old value.
+//!
 //! Local variables whose address is never taken (and that are of scalar
 //! type) live in virtual-register slots; address-taken locals, arrays and
 //! record-typed locals are materialised with [`Instr::Alloca`] so they
@@ -298,12 +303,7 @@ impl<'a> FunctionLowerer<'a> {
 
     fn lower_stmt(&mut self, stmt: &Stmt) -> Result<(), CompileError> {
         match stmt {
-            Stmt::Decl {
-                name,
-                ty,
-                init,
-                loc,
-            } => self.lower_decl(name, ty, init.as_ref(), *loc),
+            Stmt::Decl(d) => self.lower_decl(&d.name, &d.ty, d.init.as_ref(), d.loc),
             Stmt::Expr(e) => {
                 self.lower_expr(e)?;
                 Ok(())
@@ -401,8 +401,8 @@ impl<'a> FunctionLowerer<'a> {
                 ..
             } => {
                 self.scopes.push(HashMap::new());
-                if let Some(init) = init {
-                    self.lower_stmt(init)?;
+                for s in init {
+                    self.lower_stmt(s)?;
                 }
                 let cond_start = self.body.len();
                 let branch_idx = match cond {
@@ -647,33 +647,7 @@ impl<'a> FunctionLowerer<'a> {
             }
             Expr::Var(..) | Expr::Index { .. } | Expr::Member { .. } | Expr::Deref(..) => {
                 let lv = self.lower_lvalue(e)?;
-                match lv {
-                    LValue::Reg(slot, ty) => {
-                        let dst = self.new_slot();
-                        self.emit(Instr::Copy { dst, src: slot });
-                        Ok((dst, ty))
-                    }
-                    LValue::Mem(ptr, ty) => {
-                        if ty.is_array() {
-                            // Array-to-pointer decay: the address itself.
-                            Ok((ptr, ty.decay()))
-                        } else if ty.is_record() {
-                            // Record rvalues are represented by their
-                            // address (passing structs by value is not
-                            // supported; member access goes through the
-                            // lvalue path anyway).
-                            Ok((ptr, Type::ptr(ty)))
-                        } else {
-                            let dst = self.new_slot();
-                            self.emit(Instr::Load {
-                                dst,
-                                ptr,
-                                ty: ty.clone(),
-                            });
-                            Ok((dst, ty))
-                        }
-                    }
-                }
+                Ok(self.read_lvalue(&lv))
             }
             Expr::AddrOf(inner, loc) => {
                 let lv = self.lower_lvalue(inner)?;
@@ -703,12 +677,30 @@ impl<'a> FunctionLowerer<'a> {
                 Ok((dst, rty))
             }
             Expr::Binary { op, lhs, rhs, loc } => self.lower_binary(*op, lhs, rhs, *loc),
-            Expr::Assign { lhs, rhs, loc } => {
+            Expr::Assign {
+                lhs,
+                op,
+                rhs,
+                postfix,
+                loc,
+            } => {
                 let lv = self.lower_lvalue(lhs)?;
                 let lv_ty = match &lv {
                     LValue::Reg(_, t) | LValue::Mem(_, t) => t.clone(),
                 };
-                let (v, vty) = self.lower_expr_expect(rhs, Some(&lv_ty))?;
+                // A postfix update yields the value read before the write.
+                let mut yielded = None;
+                let (v, vty) = match op {
+                    None => self.lower_expr_expect(rhs, Some(&lv_ty))?,
+                    Some(op) => {
+                        let old = self.read_lvalue(&lv);
+                        if *postfix {
+                            yielded = Some(old.0);
+                        }
+                        let r = self.lower_expr(rhs)?;
+                        self.combine(*op, old, r, *loc)?
+                    }
+                };
                 let v = self.coerce(v, &vty, &lv_ty, *loc)?;
                 match lv {
                     LValue::Reg(slot, _) => {
@@ -718,7 +710,7 @@ impl<'a> FunctionLowerer<'a> {
                         self.emit(Instr::Store { ptr, src: v, ty });
                     }
                 }
-                Ok((v, lv_ty))
+                Ok((yielded.unwrap_or(v), lv_ty))
             }
             Expr::Cast {
                 ty,
@@ -890,9 +882,21 @@ impl<'a> FunctionLowerer<'a> {
             return Ok((norm, Type::int()));
         }
 
-        let (l, lty) = self.lower_expr(lhs)?;
-        let (r, rty) = self.lower_expr(rhs)?;
+        let l = self.lower_expr(lhs)?;
+        let r = self.lower_expr(rhs)?;
+        self.combine(op, l, r, loc)
+    }
 
+    /// Apply the non-short-circuit operator `op` to two lowered operands:
+    /// the one place for pointer scaling, pointer difference, float
+    /// promotion and the integer-only rule of the bitwise operators.
+    fn combine(
+        &mut self,
+        op: BinOp,
+        (l, lty): (Slot, Type),
+        (r, rty): (Slot, Type),
+        loc: Loc,
+    ) -> Result<(Slot, Type), CompileError> {
         // Pointer arithmetic: p + i, p - i, p[i] is handled elsewhere.
         if lty.is_pointer() && rty.is_integer() && matches!(op, BinOp::Add | BinOp::Sub) {
             let elem_ty = lty.pointee().cloned().unwrap_or_else(Type::char_);
@@ -993,6 +997,31 @@ impl<'a> FunctionLowerer<'a> {
             _ => Type::int(),
         };
         Ok((dst, rty))
+    }
+
+    /// Read the value of `lv` as an rvalue: a `Copy` out of a register
+    /// slot or a `Load` from memory.  Arrays decay to their address, and
+    /// a record is represented by its address (structs are not passed
+    /// by value; member access goes through the lvalue path anyway).
+    fn read_lvalue(&mut self, lv: &LValue) -> (Slot, Type) {
+        match lv {
+            LValue::Reg(slot, ty) => {
+                let dst = self.new_slot();
+                self.emit(Instr::Copy { dst, src: *slot });
+                (dst, ty.clone())
+            }
+            LValue::Mem(ptr, ty) if ty.is_array() => (*ptr, ty.decay()),
+            LValue::Mem(ptr, ty) if ty.is_record() => (*ptr, Type::ptr(ty.clone())),
+            LValue::Mem(ptr, ty) => {
+                let dst = self.new_slot();
+                self.emit(Instr::Load {
+                    dst,
+                    ptr: *ptr,
+                    ty: ty.clone(),
+                });
+                (dst, ty.clone())
+            }
+        }
     }
 
     fn emit_numeric_cast(&mut self, src: Slot, from: &Type, to: &Type) -> Slot {
@@ -1350,7 +1379,7 @@ fn collect_address_taken(stmts: &[Stmt], out: &mut HashSet<String>) {
     }
     for s in stmts {
         match s {
-            Stmt::Decl { init: Some(e), .. } => walk_expr(e, out),
+            Stmt::Decl(ast::VarDecl { init: Some(e), .. }) => walk_expr(e, out),
             Stmt::Expr(e) => walk_expr(e, out),
             Stmt::If {
                 cond,
@@ -1373,9 +1402,7 @@ fn collect_address_taken(stmts: &[Stmt], out: &mut HashSet<String>) {
                 body,
                 ..
             } => {
-                if let Some(i) = init {
-                    collect_address_taken(std::slice::from_ref(i), out);
-                }
+                collect_address_taken(init, out);
                 if let Some(c) = cond {
                     walk_expr(c, out);
                 }
@@ -1577,6 +1604,29 @@ mod tests {
     fn string_literals_become_globals() {
         let p = compile(r#"void f() { print_str("hello"); }"#);
         assert!(p.globals.iter().any(|g| g.name == "__str0" && g.size == 6));
+    }
+
+    #[test]
+    fn updates_evaluate_their_target_once() {
+        let p = compile(
+            "int pick(void) { return 0; }
+             void f(int *a) { a[pick()] += 1; ++a[pick()]; a[pick()]--; }",
+        );
+        let f = p.function("f").unwrap();
+        let count = |want: fn(&Instr) -> bool| f.body.iter().filter(|i| want(i)).count();
+        assert_eq!(count(|i| matches!(i, Instr::Call { .. })), 3);
+        assert_eq!(count(|i| matches!(i, Instr::PtrAdd { .. })), 3);
+        assert_eq!(count(|i| matches!(i, Instr::Load { .. })), 3);
+        assert_eq!(count(|i| matches!(i, Instr::Store { .. })), 3);
+    }
+
+    #[test]
+    fn register_updates_keep_the_plain_sequence() {
+        // `x += e` on a register local: read, operand, combine, write
+        // back — the same instructions as `x = x + e`.
+        let update = compile("int f(int x, int e) { x += e; return x; }");
+        let spelled = compile("int f(int x, int e) { x = x + e; return x; }");
+        assert_eq!(update.to_string(), spelled.to_string());
     }
 
     #[test]

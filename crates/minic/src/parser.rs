@@ -3,6 +3,13 @@
 //! The parser resolves type syntax straight to [`effective_types::Type`]
 //! values and keeps a table of record tags so that, as in C++, a defined
 //! record can be named without the `struct`/`class`/`union` keyword.
+//!
+//! A declaration is a base type followed by declarators, each with its
+//! own `*`s, name, array suffix and optional initialiser; record fields,
+//! globals, locals, `for` init clauses and parameters all go through the
+//! one declarator routine.  A local declaration adds one `Stmt::Decl` per
+//! declarator to the enclosing block.  `=`, `op=` and `++`/`--` build one
+//! [`Expr::Assign`] node that holds its target once, never a copy of it.
 
 use std::collections::HashMap;
 
@@ -157,21 +164,60 @@ impl Parser {
         }
     }
 
-    /// Parse a type: base type followed by any number of `*`s.
-    /// Array declarators are handled by the callers that need them.
+    /// Parse a type name (as in casts, `sizeof` and `new`): a base type
+    /// followed by any number of `*`s.
     fn parse_type(&mut self) -> Result<Type, CompileError> {
-        let mut ty = self.parse_base_type()?;
+        let base = self.parse_base_type()?;
+        Ok(self.parse_pointers(base))
+    }
+
+    /// Wrap `ty` in one pointer per `*`.  `const` after a `*` is accepted
+    /// and ignored (qualifier-free dynamic types), and a trailing `&` is a
+    /// C++ reference, treated as a pointer (§6 "Limitations").
+    fn parse_pointers(&mut self, mut ty: Type) -> Type {
         while self.eat_punct(Punct::Star) {
             ty = Type::ptr(ty);
-            // `const` after `*` is accepted and ignored (qualifier-free
-            // dynamic types).
             self.eat_keyword(Keyword::Const);
         }
-        // C++ references are treated as pointers (§6 "Limitations").
         if self.eat_punct(Punct::Amp) {
             ty = Type::ptr(ty);
         }
-        Ok(ty)
+        ty
+    }
+
+    /// Parse one declarator applied to `base`: its own `*`s, the name and
+    /// any array suffix.  In `T *a, b;` only `a` is a pointer.
+    fn parse_declarator(&mut self, base: &Type) -> Result<(String, Type), CompileError> {
+        let ty = self.parse_pointers(base.clone());
+        let name = self.expect_ident()?;
+        let ty = self.parse_array_suffix(ty)?;
+        Ok((name, ty))
+    }
+
+    /// Parse the declarators that follow `base` in a declaration, each
+    /// with an optional `= init`, through the closing `;`.
+    fn parse_declarators(&mut self, base: &Type) -> Result<Vec<VarDecl>, CompileError> {
+        let mut decls = Vec::new();
+        loop {
+            let loc = self.loc();
+            let (name, ty) = self.parse_declarator(base)?;
+            let init = if self.eat_punct(Punct::Assign) {
+                Some(self.parse_expr()?)
+            } else {
+                None
+            };
+            decls.push(VarDecl {
+                name,
+                ty,
+                init,
+                loc,
+            });
+            if !self.eat_punct(Punct::Comma) {
+                break;
+            }
+        }
+        self.expect_punct(Punct::Semi)?;
+        Ok(decls)
     }
 
     fn parse_base_type(&mut self) -> Result<Type, CompileError> {
@@ -391,31 +437,21 @@ impl Parser {
                 self.expect_punct(Punct::Semi)?;
                 continue;
             }
-            let floc = self.loc();
-            let base = self.parse_type()?;
-            let fname = self.expect_ident()?;
-            let ty = self.parse_array_suffix(base.clone())?;
-            fields.push(FieldDecl {
-                name: fname,
-                ty,
-                loc: floc,
-            });
-            // Additional declarators: `int a, b;`
-            while self.eat_punct(Punct::Comma) {
-                let floc = self.loc();
-                let mut ty = base.clone();
-                while self.eat_punct(Punct::Star) {
-                    ty = Type::ptr(ty);
+            let base = self.parse_base_type()?;
+            for d in self.parse_declarators(&base)? {
+                if d.init.is_some() {
+                    return Err(CompileError::new(
+                        ErrorKind::Parse,
+                        format!("field `{}` has an initialiser", d.name),
+                        d.loc,
+                    ));
                 }
-                let fname = self.expect_ident()?;
-                let ty = self.parse_array_suffix(ty)?;
                 fields.push(FieldDecl {
-                    name: fname,
-                    ty,
-                    loc: floc,
+                    name: d.name,
+                    ty: d.ty,
+                    loc: d.loc,
                 });
             }
-            self.expect_punct(Punct::Semi)?;
         }
         self.expect_punct(Punct::Semi)?;
         Ok(RecordDecl {
@@ -430,92 +466,60 @@ impl Parser {
 
     fn parse_global_or_function(&mut self, unit: &mut Unit) -> Result<(), CompileError> {
         let loc = self.loc();
-        let base = self.parse_type()?;
-        let name = self.expect_ident()?;
-        if *self.peek() == TokenKind::Punct(Punct::LParen) {
-            // Function definition.
-            self.bump();
-            let mut params = Vec::new();
-            if !self.eat_punct(Punct::RParen) {
-                loop {
-                    let ploc = self.loc();
-                    if *self.peek() == TokenKind::Keyword(Keyword::Void)
-                        && *self.peek_at(1) == TokenKind::Punct(Punct::RParen)
-                    {
-                        self.bump();
-                        break;
-                    }
-                    let pty = self.parse_type()?;
-                    let pname = self.expect_ident()?;
-                    let pty = self.parse_array_suffix(pty)?;
-                    // Array parameters decay to pointers.
-                    let pty = match pty {
-                        Type::Array(..) | Type::IncompleteArray(_) => pty.decay(),
-                        other => other,
-                    };
-                    params.push(ParamDecl {
-                        name: pname,
-                        ty: pty,
-                        loc: ploc,
-                    });
-                    if !self.eat_punct(Punct::Comma) {
-                        break;
-                    }
-                }
-                // The loop above leaves the closing paren unconsumed unless
-                // it hit the `(void)` case.
-                self.eat_punct(Punct::RParen);
-            }
-            if self.eat_punct(Punct::Semi) {
-                // Function prototype: record nothing (bodies are required
-                // for called functions; prototypes are tolerated).
-                return Ok(());
-            }
-            self.expect_punct(Punct::LBrace)?;
-            let body = self.parse_block_body()?;
-            unit.functions.push(FunctionDecl {
-                name,
-                ret: base,
-                params,
-                body,
-                loc,
-            });
-        } else {
-            // Global variable(s).
-            let ty = self.parse_array_suffix(base.clone())?;
-            let init = if self.eat_punct(Punct::Assign) {
-                Some(self.parse_expr()?)
-            } else {
-                None
-            };
-            unit.globals.push(GlobalDecl {
-                name,
-                ty,
-                init,
-                loc,
-            });
-            while self.eat_punct(Punct::Comma) {
-                let loc = self.loc();
-                let mut ty = base.clone();
-                while self.eat_punct(Punct::Star) {
-                    ty = Type::ptr(ty);
-                }
-                let name = self.expect_ident()?;
-                let ty = self.parse_array_suffix(ty)?;
-                let init = if self.eat_punct(Punct::Assign) {
-                    Some(self.parse_expr()?)
-                } else {
-                    None
-                };
-                unit.globals.push(GlobalDecl {
-                    name,
-                    ty,
-                    init,
-                    loc,
-                });
-            }
-            self.expect_punct(Punct::Semi)?;
+        let base = self.parse_base_type()?;
+        // A first declarator followed by `(` names a function; otherwise
+        // the declarators are re-read as global variables.
+        let start = self.pos;
+        let (name, ret) = self.parse_declarator(&base)?;
+        if !self.eat_punct(Punct::LParen) {
+            self.pos = start;
+            unit.globals.extend(self.parse_declarators(&base)?);
+            return Ok(());
         }
+        let mut params = Vec::new();
+        if !self.eat_punct(Punct::RParen) {
+            loop {
+                let ploc = self.loc();
+                if *self.peek() == TokenKind::Keyword(Keyword::Void)
+                    && *self.peek_at(1) == TokenKind::Punct(Punct::RParen)
+                {
+                    self.bump();
+                    break;
+                }
+                let pbase = self.parse_base_type()?;
+                let (pname, pty) = self.parse_declarator(&pbase)?;
+                // Array parameters decay to pointers.
+                let pty = match pty {
+                    Type::Array(..) | Type::IncompleteArray(_) => pty.decay(),
+                    other => other,
+                };
+                params.push(ParamDecl {
+                    name: pname,
+                    ty: pty,
+                    loc: ploc,
+                });
+                if !self.eat_punct(Punct::Comma) {
+                    break;
+                }
+            }
+            // The loop above leaves the closing paren unconsumed unless
+            // it hit the `(void)` case.
+            self.eat_punct(Punct::RParen);
+        }
+        if self.eat_punct(Punct::Semi) {
+            // Function prototype: record nothing (bodies are required
+            // for called functions; prototypes are tolerated).
+            return Ok(());
+        }
+        self.expect_punct(Punct::LBrace)?;
+        let body = self.parse_block_body()?;
+        unit.functions.push(FunctionDecl {
+            name,
+            ret,
+            params,
+            body,
+            loc,
+        });
         Ok(())
     }
 
@@ -529,21 +533,24 @@ impl Parser {
             if *self.peek() == TokenKind::Eof {
                 return Err(self.error("unexpected end of input inside a block"));
             }
-            stmts.push(self.parse_stmt()?);
+            self.parse_stmt(&mut stmts)?;
         }
         Ok(stmts)
     }
 
-    fn parse_stmt(&mut self) -> Result<Stmt, CompileError> {
-        self.nested(Self::parse_stmt_inner)
+    /// Parse one statement onto the end of `out`.  A declaration adds one
+    /// [`Stmt::Decl`] per declarator to the enclosing block, so its names
+    /// are visible to the statements that follow.
+    fn parse_stmt(&mut self, out: &mut Vec<Stmt>) -> Result<(), CompileError> {
+        self.nested(|p| p.parse_stmt_inner(out))
     }
 
-    fn parse_stmt_inner(&mut self) -> Result<Stmt, CompileError> {
+    fn parse_stmt_inner(&mut self, out: &mut Vec<Stmt>) -> Result<(), CompileError> {
         let loc = self.loc();
-        match self.peek().clone() {
+        let stmt = match self.peek().clone() {
             TokenKind::Punct(Punct::LBrace) => {
                 self.bump();
-                Ok(Stmt::Block(self.parse_block_body()?))
+                Stmt::Block(self.parse_block_body()?)
             }
             TokenKind::Keyword(Keyword::If) => {
                 self.bump();
@@ -556,12 +563,12 @@ impl Parser {
                 } else {
                     Vec::new()
                 };
-                Ok(Stmt::If {
+                Stmt::If {
                     cond,
                     then_body,
                     else_body,
                     loc,
-                })
+                }
             }
             TokenKind::Keyword(Keyword::While) => {
                 self.bump();
@@ -569,7 +576,7 @@ impl Parser {
                 let cond = self.parse_expr()?;
                 self.expect_punct(Punct::RParen)?;
                 let body = self.parse_stmt_as_block()?;
-                Ok(Stmt::While { cond, body, loc })
+                Stmt::While { cond, body, loc }
             }
             TokenKind::Keyword(Keyword::Do) => {
                 self.bump();
@@ -581,16 +588,15 @@ impl Parser {
                 let cond = self.parse_expr()?;
                 self.expect_punct(Punct::RParen)?;
                 self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::DoWhile { body, cond, loc })
+                Stmt::DoWhile { body, cond, loc }
             }
             TokenKind::Keyword(Keyword::For) => {
                 self.bump();
                 self.expect_punct(Punct::LParen)?;
-                let init = if self.eat_punct(Punct::Semi) {
-                    None
-                } else {
-                    Some(Box::new(self.parse_simple_decl_or_expr_stmt()?))
-                };
+                let mut init = Vec::new();
+                if !self.eat_punct(Punct::Semi) {
+                    self.parse_simple_stmt(&mut init)?;
+                }
                 let cond = if *self.peek() == TokenKind::Punct(Punct::Semi) {
                     None
                 } else {
@@ -604,13 +610,13 @@ impl Parser {
                 };
                 self.expect_punct(Punct::RParen)?;
                 let body = self.parse_stmt_as_block()?;
-                Ok(Stmt::For {
+                Stmt::For {
                     init,
                     cond,
                     step,
                     body,
                     loc,
-                })
+                }
             }
             TokenKind::Keyword(Keyword::Return) => {
                 self.bump();
@@ -621,115 +627,48 @@ impl Parser {
                     self.expect_punct(Punct::Semi)?;
                     Some(e)
                 };
-                Ok(Stmt::Return(value, loc))
+                Stmt::Return(value, loc)
             }
             TokenKind::Keyword(Keyword::Break) => {
                 self.bump();
                 self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Break(loc))
+                Stmt::Break(loc)
             }
             TokenKind::Keyword(Keyword::Continue) => {
                 self.bump();
                 self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Continue(loc))
+                Stmt::Continue(loc)
             }
-            TokenKind::Keyword(Keyword::Delete) => {
-                let e = self.parse_expr()?;
-                self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Expr(e))
-            }
-            _ if self.starts_decl() => {
-                let stmt = self.parse_simple_decl_or_expr_stmt()?;
-                Ok(stmt)
-            }
-            _ => {
-                let e = self.parse_expr()?;
-                self.expect_punct(Punct::Semi)?;
-                Ok(Stmt::Expr(e))
-            }
-        }
+            _ => return self.parse_simple_stmt(out),
+        };
+        out.push(stmt);
+        Ok(())
     }
 
     fn parse_stmt_as_block(&mut self) -> Result<Vec<Stmt>, CompileError> {
         if self.eat_punct(Punct::LBrace) {
             self.parse_block_body()
         } else {
-            Ok(vec![self.parse_stmt()?])
+            let mut stmts = Vec::new();
+            self.parse_stmt(&mut stmts)?;
+            Ok(stmts)
         }
     }
 
-    /// Does the current position start a local declaration (rather than an
-    /// expression)?  True when a type starts here and the token after the
-    /// declarator head is an identifier.
-    fn starts_decl(&self) -> bool {
-        if !self.starts_type() {
-            return false;
-        }
-        // Distinguish `S * p;` (decl) from `s * p` (multiplication): the
-        // type table disambiguates because only known record tags and type
-        // keywords count as type starts.
-        true
-    }
-
-    /// Parse `T name = init;` or an expression statement (used by `for`
-    /// init clauses and plain statements).
-    fn parse_simple_decl_or_expr_stmt(&mut self) -> Result<Stmt, CompileError> {
-        let loc = self.loc();
-        if self.starts_decl() {
-            let base = self.parse_type()?;
-            let name = self.expect_ident()?;
-            let ty = self.parse_array_suffix(base.clone())?;
-            let init = if self.eat_punct(Punct::Assign) {
-                Some(self.parse_expr()?)
-            } else {
-                None
-            };
-            if self.eat_punct(Punct::Comma) {
-                // Multiple declarators become a block of declarations.
-                let mut stmts = vec![Stmt::Decl {
-                    name,
-                    ty,
-                    init,
-                    loc,
-                }];
-                loop {
-                    let loc = self.loc();
-                    let mut ty = base.clone();
-                    while self.eat_punct(Punct::Star) {
-                        ty = Type::ptr(ty);
-                    }
-                    let name = self.expect_ident()?;
-                    let ty = self.parse_array_suffix(ty)?;
-                    let init = if self.eat_punct(Punct::Assign) {
-                        Some(self.parse_expr()?)
-                    } else {
-                        None
-                    };
-                    stmts.push(Stmt::Decl {
-                        name,
-                        ty,
-                        init,
-                        loc,
-                    });
-                    if !self.eat_punct(Punct::Comma) {
-                        break;
-                    }
-                }
-                self.expect_punct(Punct::Semi)?;
-                return Ok(Stmt::Block(stmts));
-            }
-            self.expect_punct(Punct::Semi)?;
-            Ok(Stmt::Decl {
-                name,
-                ty,
-                init,
-                loc,
-            })
+    /// Parse a declaration or an expression statement, through its `;`,
+    /// onto the end of `out` (statements and `for` init clauses).  Only
+    /// type keywords and known record tags start a declaration, so
+    /// `S * p;` declares a pointer while `s * p;` multiplies.
+    fn parse_simple_stmt(&mut self, out: &mut Vec<Stmt>) -> Result<(), CompileError> {
+        if self.starts_type() {
+            let base = self.parse_base_type()?;
+            out.extend(self.parse_declarators(&base)?.into_iter().map(Stmt::Decl));
         } else {
             let e = self.parse_expr()?;
             self.expect_punct(Punct::Semi)?;
-            Ok(Stmt::Expr(e))
+            out.push(Stmt::Expr(e));
         }
+        Ok(())
     }
 
     // ---------------------------------------------------------------
@@ -743,39 +682,38 @@ impl Parser {
     fn parse_assignment(&mut self) -> Result<Expr, CompileError> {
         let lhs = self.parse_conditional()?;
         let loc = self.loc();
-        match self.peek() {
-            TokenKind::Punct(Punct::Assign) => {
-                self.bump();
-                let rhs = self.nested(Self::parse_assignment)?;
-                Ok(Expr::Assign {
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                    loc,
-                })
-            }
-            TokenKind::Punct(Punct::PlusAssign)
-            | TokenKind::Punct(Punct::MinusAssign)
-            | TokenKind::Punct(Punct::StarAssign)
-            | TokenKind::Punct(Punct::SlashAssign) => {
-                let op = match self.bump() {
-                    TokenKind::Punct(Punct::PlusAssign) => BinOp::Add,
-                    TokenKind::Punct(Punct::MinusAssign) => BinOp::Sub,
-                    TokenKind::Punct(Punct::StarAssign) => BinOp::Mul,
-                    _ => BinOp::Div,
-                };
-                let rhs = self.nested(Self::parse_assignment)?;
-                Ok(Expr::Assign {
-                    lhs: Box::new(lhs.clone()),
-                    rhs: Box::new(Expr::Binary {
-                        op,
-                        lhs: Box::new(lhs),
-                        rhs: Box::new(rhs),
-                        loc,
-                    }),
-                    loc,
-                })
-            }
-            _ => Ok(lhs),
+        let op = match self.peek() {
+            TokenKind::Punct(Punct::Assign) => None,
+            TokenKind::Punct(Punct::PlusAssign) => Some(BinOp::Add),
+            TokenKind::Punct(Punct::MinusAssign) => Some(BinOp::Sub),
+            TokenKind::Punct(Punct::StarAssign) => Some(BinOp::Mul),
+            TokenKind::Punct(Punct::SlashAssign) => Some(BinOp::Div),
+            _ => return Ok(lhs),
+        };
+        self.bump();
+        let rhs = self.nested(Self::parse_assignment)?;
+        Ok(Expr::Assign {
+            lhs: Box::new(lhs),
+            op,
+            rhs: Box::new(rhs),
+            postfix: false,
+            loc,
+        })
+    }
+
+    /// `++target` / `--target` (or the postfix forms): `target ±= 1`.
+    fn increment(target: Expr, token: TokenKind, postfix: bool, loc: Loc) -> Expr {
+        let op = if token == TokenKind::Punct(Punct::PlusPlus) {
+            BinOp::Add
+        } else {
+            BinOp::Sub
+        };
+        Expr::Assign {
+            lhs: Box::new(target),
+            op: Some(op),
+            rhs: Box::new(Expr::IntLit(1, loc)),
+            postfix,
+            loc,
         }
     }
 
@@ -887,23 +825,9 @@ impl Parser {
                 Ok(Expr::AddrOf(Box::new(self.parse_unary()?), loc))
             }
             TokenKind::Punct(Punct::PlusPlus) | TokenKind::Punct(Punct::MinusMinus) => {
-                // Pre-increment/decrement: ++x  ==>  x = x + 1
-                let op = if self.bump() == TokenKind::Punct(Punct::PlusPlus) {
-                    BinOp::Add
-                } else {
-                    BinOp::Sub
-                };
+                let token = self.bump();
                 let target = self.parse_unary()?;
-                Ok(Expr::Assign {
-                    lhs: Box::new(target.clone()),
-                    rhs: Box::new(Expr::Binary {
-                        op,
-                        lhs: Box::new(target),
-                        rhs: Box::new(Expr::IntLit(1, loc)),
-                        loc,
-                    }),
-                    loc,
-                })
+                Ok(Self::increment(target, token, false, loc))
             }
             TokenKind::Keyword(Keyword::Sizeof) => {
                 self.bump();
@@ -1027,25 +951,8 @@ impl Parser {
                     };
                 }
                 TokenKind::Punct(Punct::PlusPlus) | TokenKind::Punct(Punct::MinusMinus) => {
-                    // Post-increment used as a statement: desugared to the
-                    // same assignment as the pre-form (the value difference
-                    // does not matter for the workloads, which use it in
-                    // statement position).
-                    let op = if self.bump() == TokenKind::Punct(Punct::PlusPlus) {
-                        BinOp::Add
-                    } else {
-                        BinOp::Sub
-                    };
-                    expr = Expr::Assign {
-                        lhs: Box::new(expr.clone()),
-                        rhs: Box::new(Expr::Binary {
-                            op,
-                            lhs: Box::new(expr),
-                            rhs: Box::new(Expr::IntLit(1, loc)),
-                            loc,
-                        }),
-                        loc,
-                    };
+                    let token = self.bump();
+                    expr = Self::increment(expr, token, true, loc);
                 }
                 _ => break,
             }
@@ -1223,20 +1130,20 @@ mod tests {
         // The bare-identifier cast `(T *)p` parses as a cast, not a
         // multiplication, because `T` is a known record tag.
         match &body[2] {
-            Stmt::Decl {
+            Stmt::Decl(VarDecl {
                 init: Some(Expr::Cast { ty, style, .. }),
                 ..
-            } => {
+            }) => {
                 assert_eq!(*ty, Type::ptr(Type::struct_("T")));
                 assert_eq!(*style, CastStyle::CStyle);
             }
             other => panic!("expected cast initialiser, got {other:?}"),
         }
         match &body[3] {
-            Stmt::Decl {
+            Stmt::Decl(VarDecl {
                 init: Some(Expr::Cast { style, .. }),
                 ..
-            } => {
+            }) => {
                 assert_eq!(*style, CastStyle::Static);
             }
             other => panic!("expected static_cast, got {other:?}"),
@@ -1258,17 +1165,17 @@ mod tests {
         let body = &unit.functions[0].body;
         assert!(matches!(
             body[0],
-            Stmt::Decl {
+            Stmt::Decl(VarDecl {
                 init: Some(Expr::New { count: None, .. }),
                 ..
-            }
+            })
         ));
         assert!(matches!(
             body[1],
-            Stmt::Decl {
+            Stmt::Decl(VarDecl {
                 init: Some(Expr::New { count: Some(_), .. }),
                 ..
-            }
+            })
         ));
     }
 
@@ -1287,6 +1194,91 @@ mod tests {
     fn parse_compound_assignment_and_increment() {
         let unit = parse("void f() { int i = 0; i += 2; i++; ++i; i--; }").unwrap();
         assert_eq!(unit.functions[0].body.len(), 5);
+    }
+
+    #[test]
+    fn every_declarator_takes_its_own_stars_and_suffix() {
+        let unit = parse(
+            "struct S { int *a, b; char *d[2], **e; };
+             int g = 1, *gp, arr[3];
+             int f(int *x, int y[4]) {
+                 int *p, q = 2;
+                 for (int i = 0, *j; i < 1; i++) { }
+                 return q;
+             }",
+        )
+        .unwrap();
+        let fields: Vec<_> = unit.records[0].fields.iter().map(|f| &f.ty).collect();
+        let int_ptr = Type::ptr(Type::int());
+        assert_eq!(
+            fields,
+            [
+                &int_ptr,
+                &Type::int(),
+                &Type::array(Type::char_ptr(), 2),
+                &Type::ptr(Type::char_ptr()),
+            ]
+        );
+        let globals: Vec<_> = unit.globals.iter().map(|g| (&g.name[..], &g.ty)).collect();
+        assert_eq!(
+            globals,
+            [
+                ("g", &Type::int()),
+                ("gp", &int_ptr),
+                ("arr", &Type::array(Type::int(), 3)),
+            ]
+        );
+        assert!(unit.globals[0].init.is_some() && unit.globals[1].init.is_none());
+        let f = &unit.functions[0];
+        assert_eq!(f.params[0].ty, int_ptr);
+        assert_eq!(f.params[1].ty, int_ptr);
+        // Both local declarators land in the function body itself, and
+        // the `for` init keeps its two declarations.
+        let decl_ty = |s: &Stmt| match s {
+            Stmt::Decl(d) => d.ty.clone(),
+            other => panic!("expected a declaration, got {other:?}"),
+        };
+        assert_eq!(f.body.len(), 4);
+        assert_eq!(decl_ty(&f.body[0]), int_ptr);
+        assert_eq!(decl_ty(&f.body[1]), Type::int());
+        match &f.body[2] {
+            Stmt::For { init, .. } => {
+                assert_eq!(
+                    init.iter().map(decl_ty).collect::<Vec<_>>(),
+                    [Type::int(), int_ptr]
+                );
+            }
+            other => panic!("expected a for loop, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn field_initialisers_are_rejected() {
+        assert!(parse("struct S { int a = 1; };").is_err());
+    }
+
+    #[test]
+    fn assignment_forms_share_one_node() {
+        let unit = parse("void f(int *a, int i) { a[i] = 1; a[i] += 2; i++; --a[i]; }").unwrap();
+        let forms: Vec<_> = unit.functions[0]
+            .body
+            .iter()
+            .map(|s| match s {
+                Stmt::Expr(Expr::Assign {
+                    lhs, op, postfix, ..
+                }) => (matches!(**lhs, Expr::Index { .. }), *op, *postfix),
+                other => panic!("expected an assignment, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            forms,
+            [
+                (true, None, false),
+                (true, Some(BinOp::Add), false),
+                (false, Some(BinOp::Add), true),
+                (true, Some(BinOp::Sub), false),
+            ]
+        );
     }
 
     #[test]

@@ -17,17 +17,11 @@
 
 use std::time::Duration;
 
-/// Environment variable overriding the first-retry delay, in ms.
-pub const BACKOFF_BASE_ENV: &str = "SWEEP_BACKOFF_BASE_MS";
+/// First-retry delay of the sweep subsystem's retry loops.
+pub const BACKOFF_BASE: Duration = Duration::from_millis(50);
 
-/// Environment variable overriding the delay ceiling, in ms.
-pub const BACKOFF_MAX_ENV: &str = "SWEEP_BACKOFF_MAX_MS";
-
-/// Default first-retry delay.
-pub const DEFAULT_BASE_MS: u64 = 50;
-
-/// Default delay ceiling.
-pub const DEFAULT_MAX_MS: u64 = 2_000;
+/// Delay ceiling of the same loops.
+pub const BACKOFF_CAP: Duration = Duration::from_millis(2_000);
 
 /// Advance a SplitMix64 state and return the next raw draw.
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
@@ -56,7 +50,9 @@ pub struct Backoff {
 
 impl Backoff {
     /// A schedule growing from `base` toward the `cap` ceiling, with
-    /// jitter drawn from the given seed.
+    /// jitter drawn from the given seed.  Seed with something
+    /// loop-distinct — a slot index, say — so parallel loops don't retry
+    /// in lockstep.
     pub fn new(base: Duration, cap: Duration, seed: u64) -> Self {
         Backoff {
             base,
@@ -64,24 +60,6 @@ impl Backoff {
             attempt: 0,
             rng: seed,
         }
-    }
-
-    /// A schedule using the [`BACKOFF_BASE_ENV`] / [`BACKOFF_MAX_ENV`]
-    /// tunables (falling back to the defaults on absence or garbage).
-    /// Seed with something loop-distinct — a slot index, an attempt
-    /// counter's address — so parallel loops don't retry in lockstep.
-    pub fn from_env(seed: u64) -> Self {
-        let ms = |name: &str, default: u64| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        Backoff::new(
-            Duration::from_millis(ms(BACKOFF_BASE_ENV, DEFAULT_BASE_MS)),
-            Duration::from_millis(ms(BACKOFF_MAX_ENV, DEFAULT_MAX_MS)),
-            seed,
-        )
     }
 
     /// The wait before the next retry; each call grows the schedule.

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use effective_san::{SpecExperiment, SpecRow};
 
-use crate::backoff::Backoff;
+use crate::backoff::{Backoff, BACKOFF_BASE, BACKOFF_CAP};
 use crate::chaos::{Chaos, LineFate};
 use crate::wire::{self, Hello, LineSource, Reply, ShardSpec, SweepRequest, WireError};
 
@@ -40,24 +40,9 @@ pub fn token_from_env() -> Option<String> {
     std::env::var(TOKEN_ENV).ok().filter(|t| !t.is_empty())
 }
 
-/// Default cadence of worker heartbeats, overridable with the
-/// `SWEEP_HEARTBEAT_MS` environment variable (workers read it at serve
-/// time, so the coordinator and the fleet can be tuned independently).
-pub const DEFAULT_HEARTBEAT_MS: u64 = 500;
-
-/// Name of the heartbeat-cadence environment variable.
-pub const HEARTBEAT_ENV: &str = "SWEEP_HEARTBEAT_MS";
-
-/// The heartbeat cadence resolved from [`HEARTBEAT_ENV`] (milliseconds;
-/// unset, empty or unparsable values select [`DEFAULT_HEARTBEAT_MS`]).
-pub fn heartbeat_interval() -> Duration {
-    let ms = std::env::var(HEARTBEAT_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(DEFAULT_HEARTBEAT_MS);
-    Duration::from_millis(ms)
-}
+/// Cadence of worker heartbeats (pipe and TCP alike) while a shard
+/// executes.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
 
 /// A reader thread pumping protocol lines into a channel, so the consumer
 /// can apply per-read deadlines with `recv_timeout` regardless of whether
@@ -638,7 +623,7 @@ impl Default for ClientOptions {
 /// [`Backoff`] schedule (bounded by `options.connect_attempts`).
 fn connect_with_retry(addr: &str, options: &ClientOptions) -> Result<TcpTransport, WireError> {
     let attempts = options.connect_attempts.max(1);
-    let mut backoff = Backoff::from_env(0x00C1_1E57);
+    let mut backoff = Backoff::new(BACKOFF_BASE, BACKOFF_CAP, 0x00C1_1E57);
     let mut last = None;
     for attempt in 0..attempts {
         match TcpTransport::connect(addr, Some(options.connect_timeout)) {

@@ -73,7 +73,7 @@ use effective_san::{Parallelism, SpecExperiment, SpecRow};
 use obs::{sweep_tracer, Counter, Gauge, Histogram};
 use workloads::{Scale, SpecBenchmark};
 
-use crate::backoff::Backoff;
+use crate::backoff::{Backoff, BACKOFF_BASE, BACKOFF_CAP};
 use crate::coordinator::WorkerLaunch;
 use crate::net::{token_from_env, AttemptError, PipeTransport, TcpTransport, WorkerConn};
 use crate::shard::{merge_experiment, plan_shards, MergeError, Shard};
@@ -115,7 +115,7 @@ pub struct ServeOptions {
 impl ServeOptions {
     /// Defaults for a daemon at `listen` over `workers`: 3 attempts per
     /// shard, no shard budget, a 10s silence deadline (workers heartbeat
-    /// every [`crate::net::DEFAULT_HEARTBEAT_MS`]ms while busy, so only a
+    /// every [`crate::net::HEARTBEAT_INTERVAL`] while busy, so only a
     /// dead peer can go silent that long), no registration listener, no
     /// admission bounds, and the token from [`crate::net::TOKEN_ENV`].
     pub fn new(listen: String, workers: Vec<String>) -> ServeOptions {
@@ -904,7 +904,7 @@ impl Scheduler {
     /// drain signal, releasing the worker, or when the slot retires.
     fn slot_loop(&self, slot: usize, kind: SlotKind, mut conn: Option<WorkerConn>) {
         let telemetry = self.telemetry(slot);
-        let mut backoff = Backoff::from_env(0xD1A1_0007 ^ slot as u64);
+        let mut backoff = Backoff::new(BACKOFF_BASE, BACKOFF_CAP, 0xD1A1_0007 ^ slot as u64);
         while let Some(job) = self.next_for(slot) {
             let spec = job.spec();
             // A panic anywhere in the attempt (connection handling, the

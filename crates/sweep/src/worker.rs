@@ -26,9 +26,9 @@ use std::time::{Duration, Instant};
 use effective_san::spec_experiment;
 use san_api::SanitizerKind;
 
-use crate::backoff::Backoff;
+use crate::backoff::{Backoff, BACKOFF_BASE, BACKOFF_CAP};
 use crate::chaos::{Chaos, LineFate};
-use crate::net::{heartbeat_interval, token_from_env, LinePump};
+use crate::net::{token_from_env, LinePump, HEARTBEAT_INTERVAL};
 use crate::wire::{self, AuthGate, Command, Hello, LineSource, Reply, ShardSpec, WireError};
 
 /// How long a token-bearing worker waits for the peer's `auth` frame
@@ -219,11 +219,11 @@ impl LineSource for PumpLines {
 /// How often the heartbeat thread looks at the shard-in-flight flag.
 const TICK: Duration = Duration::from_millis(25);
 
-/// Emit heartbeats (cadence from [`crate::net::HEARTBEAT_ENV`]) while a
+/// Emit heartbeats every [`HEARTBEAT_INTERVAL`] while a
 /// shard is executing (`active`), so the peer's silence deadline can
 /// tell a slow shard from a dead worker; returns once `stop` hangs up.
 fn heartbeat<W: SessionOutput>(writer: &Mutex<W>, active: &AtomicBool, stop: Receiver<()>) {
-    let interval = heartbeat_interval();
+    let interval = HEARTBEAT_INTERVAL;
     let mut seq = 0u64;
     let mut last = Instant::now() - interval;
     while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval.min(TICK)) {
@@ -404,7 +404,7 @@ pub fn run_listener(addr: &str, token: Option<String>) -> i32 {
 pub fn run_joiner(addr: &str, token: Option<String>) -> i32 {
     println!("joining {addr}");
     let _ = std::io::stdout().flush();
-    let mut backoff = Backoff::from_env(0x4A01_4E52);
+    let mut backoff = Backoff::new(BACKOFF_BASE, BACKOFF_CAP, 0x4A01_4E52);
     loop {
         match TcpStream::connect(addr) {
             Ok(stream) => {

@@ -2007,6 +2007,63 @@ mod tests {
     }
 
     #[test]
+    fn assignment_forms_return_the_c_results_in_both_tiers() {
+        // `pick()` counts its calls: an update evaluates its target once.
+        let once = |update: &str| {
+            format!(
+                "int calls;
+                 int pick(void) {{ calls = calls + 1; return 0; }}
+                 int f(int n) {{ int a[1]; a[0] = n; {update}; return calls * 100 + a[0]; }}"
+            )
+        };
+        let value = |body: &str| format!("int f(int i) {{ {body} }}");
+        let cases = [
+            (once("a[pick()] += 1"), 106),
+            (once("++a[pick()]"), 106),
+            (once("a[pick()]++"), 106),
+            (once("--a[pick()]"), 104),
+            (value("int j = i++; return j * 10 + i;"), 56),
+            (value("int j = ++i; return j * 10 + i;"), 66),
+            (value("int j = i--; return j * 10 + i;"), 54),
+            (value("int j = --i; return j * 10 + i;"), 44),
+            (
+                value("int a[2]; a[0] = i; int j = a[0]++; return j * 10 + a[0];"),
+                56,
+            ),
+            (
+                value("int a[2]; int *p = a; int *q = p++; return (int)(p - q);"),
+                1,
+            ),
+            (
+                "struct S { int *a, b; int c; };
+                 int f(int i) { return (int)sizeof(struct S); }"
+                    .to_string(),
+                16,
+            ),
+            (
+                "int g = 2, *gp, h = 3;
+                 int f(int i) {
+                     int a, b;
+                     a = i;
+                     int c = 1, d = 2;
+                     b = c + d;
+                     for (int k = 0, m = 3; k < m; k++) { b += k; }
+                     return a * 100 + b * 10 + g + h;
+                 }"
+                .to_string(),
+                5 * 100 + 6 * 10 + 5,
+            ),
+        ];
+        for (src, want) in cases {
+            for (promote, osr) in [(u32::MAX, u32::MAX), (1, 1)] {
+                let mut vm = vm_with_tiering(&src, SanitizerKind::None, promote, osr);
+                let got = vm.run("f", &[Value::Int(5)]).unwrap();
+                assert_eq!(got, Value::Int(want), "promote={promote}\n{src}");
+            }
+        }
+    }
+
+    #[test]
     fn huge_alloca_count_degrades_instead_of_panicking() {
         // elem_size (8) × count overflows u64: the multiply must saturate
         // into a failing allocation, not panic the interpreter.

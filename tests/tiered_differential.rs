@@ -17,10 +17,14 @@
 //!
 //! The corpus is deliberately the adversarial end of the repo: all ten
 //! conformance scenarios (which fault, halt and quarantine) across all
-//! 13 registered backends, the spec workloads at test scale (loop-heavy,
-//! so OSR actually fires), an abort-after-one run that makes the fast
-//! tier halt mid-function, and instruction budgets that expire inside a
-//! promoted loop.
+//! 13 registered backends, the C assignment forms (`op=`, prefix and
+//! postfix `++`/`--`, multi-declarators) across all 13 backends, the spec
+//! workloads at test scale (loop-heavy, so OSR actually fires), an
+//! abort-after-one run that makes the fast tier halt mid-function,
+//! instruction budgets that expire inside a promoted loop, and generated
+//! straight-line runs of repeated checks interleaved with opaque calls
+//! and `free`s, which change check outcomes between otherwise repeated
+//! checks.
 
 use std::sync::Arc;
 
@@ -29,6 +33,7 @@ use effective_san::minic::Program;
 use effective_san::vm::{ExecStats, Value, Vm, VmConfig, VmError};
 use effective_san::workloads::SpecBenchmark;
 use effective_san::{instrument, minic, Diagnostic, ReportMode, SanStats, SanitizerKind, Scale};
+use proptest::prelude::*;
 
 /// Everything observable about one execution, minus the tier counters.
 #[derive(Debug, PartialEq)]
@@ -227,6 +232,93 @@ fn faulting_scenarios_agree_across_all_backends() {
     }
 }
 
+/// Programs over every assignment form, each returning a value that the
+/// C semantics fix: compound assignment and `++` on an lvalue with a side
+/// effect (evaluated once: 106), the postfix value (5) against the prefix
+/// one (6), pointer `p++` scaled by the element size, and declarations
+/// with several declarators in locals, globals, fields and `for` init.
+const UPDATE_SOURCES: &[(&str, i64)] = &[
+    (
+        "int calls;
+        int pick(void) { calls = calls + 1; return 0; }
+        int run(int n) {
+            int a[2];
+            a[0] = 5;
+            a[pick()] += n;
+            return calls * 100 + a[0];
+        }",
+        106,
+    ),
+    (
+        "int calls;
+        int pick(void) { calls = calls + 1; return 0; }
+        int run(int n) {
+            int *a = (int *)malloc(2 * sizeof(int));
+            a[0] = 5;
+            ++a[pick()];
+            int v = calls * 100 + a[0];
+            free(a);
+            return v;
+        }",
+        106,
+    ),
+    (
+        "int run(int n) { int i = 4 + n; int j = i++; return j * 10 + i; }",
+        56,
+    ),
+    (
+        "int run(int n) { int i = 4 + n; int j = ++i; return j * 10 + i; }",
+        66,
+    ),
+    (
+        "int run(int n) { int i = 4 + n; int j = i--; return j * 10 + i; }",
+        54,
+    ),
+    (
+        "int run(int n) { int i = 4 + n; int j = --i; return j * 10 + i; }",
+        44,
+    ),
+    (
+        "int run(int n) {
+            long *a = (long *)malloc(3 * sizeof(long));
+            a[0] = 1; a[1] = 2; a[2] = 3;
+            long *p = a;
+            p++;
+            long *q = p++;
+            int v = (int)(*q * 10 + *p) + (int)(p - a);
+            free(a);
+            return v;
+        }",
+        25,
+    ),
+    (
+        "struct S { int *a, b; int c; };
+        int g = 1, *gp, h = 3;
+        int run(int n) {
+            int a, b;
+            a = n;
+            int c = 2, *p = &c, d = 4;
+            b = *p;
+            int s = 0;
+            for (int i = 0, j = 5; i < j; i++) { s += i; }
+            return (int)sizeof(struct S) * 1000 + (a + b + c + d + g + h) * 10 + s;
+        }",
+        16_000 + 130 + 10,
+    ),
+];
+
+#[test]
+fn assignment_forms_agree_across_all_backends() {
+    for kind in SanitizerKind::ALL {
+        for &(source, want) in UPDATE_SOURCES {
+            assert_tiers_agree(source, kind, &[Value::Int(1)], None);
+            let program = Arc::new(instrument(&minic::compile(source).unwrap(), kind));
+            let observed = run_once(&program, kind, "run", &[Value::Int(1)], None, true);
+            assert_eq!(observed.result, Ok(Value::Int(want)), "{kind}:\n{source}");
+        }
+    }
+}
+
 #[test]
 fn abort_after_halts_identically_in_both_tiers() {
     // A loop that faults on every iteration: with abort_after=1 the
@@ -312,5 +404,145 @@ fn instruction_limit_fires_at_the_same_instruction() {
                 "budget {budget} under {kind}: limit fired differently"
             );
         }
+    }
+}
+
+/// Array length of each heap base; indices range over `0..OOB_SPAN`, so
+/// indices `LEN..` are out-of-bounds accesses.
+const LEN: u64 = 8;
+const OOB_SPAN: u64 = 12;
+
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// `s += p<base>[idx];`
+    Load { base: usize, idx: u64 },
+    /// `p<base>[idx] = s + idx;`
+    Store { base: usize, idx: u64 },
+    /// An opaque call — a clobber between otherwise repeated checks.
+    Call,
+    /// `free(p<base>)` — later accesses to that base are use-after-free.
+    Free { base: usize },
+}
+
+/// Raw sampled tuples → a well-formed op sequence: each base is freed at
+/// most once (later `Free`s of the same base degrade to `Call`, keeping
+/// the clobber without the double-free).
+fn decode_ops(raw: Vec<(u64, u64, u64)>, monotone: bool) -> Vec<Op> {
+    let mut freed = [false, false];
+    let mut ops: Vec<Op> = raw
+        .into_iter()
+        .map(|(kind, base, idx)| {
+            let base = (base % 2) as usize;
+            let idx = idx % OOB_SPAN;
+            match kind % 8 {
+                0..=2 => Op::Load { base, idx },
+                3..=5 => Op::Store { base, idx },
+                6 => Op::Call,
+                _ => {
+                    if freed[base] {
+                        Op::Call
+                    } else {
+                        freed[base] = true;
+                        Op::Free { base }
+                    }
+                }
+            }
+        })
+        .collect();
+    if monotone {
+        // Sort accesses by offset (stable, clobbers keep their slots) so
+        // runs of monotone offsets, where each check covers the next, are
+        // also covered.
+        let mut idxs: Vec<u64> = ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::Load { idx, .. } | Op::Store { idx, .. } => Some(*idx),
+                _ => None,
+            })
+            .collect();
+        idxs.sort_unstable();
+        let mut next = idxs.into_iter();
+        for op in &mut ops {
+            match op {
+                Op::Load { idx, .. } | Op::Store { idx, .. } => {
+                    *idx = next.next().expect("one sorted idx per access");
+                }
+                _ => {}
+            }
+        }
+    }
+    ops
+}
+
+/// Render the op sequence as a straight-line miniC `run` body.
+fn build_source(ops: &[Op]) -> String {
+    let mut body = String::new();
+    let mut freed = [false, false];
+    for op in ops {
+        match *op {
+            Op::Load { base, idx } => {
+                body.push_str(&format!("        s += p{base}[{idx}];\n"));
+            }
+            Op::Store { base, idx } => {
+                body.push_str(&format!("        p{base}[{idx}] = s + {idx};\n"));
+            }
+            Op::Call => body.push_str("        s += sink(s);\n"),
+            Op::Free { base } => {
+                freed[base] = true;
+                body.push_str(&format!("        free(p{base});\n"));
+            }
+        }
+    }
+    for (base, freed) in freed.iter().enumerate() {
+        if !freed {
+            body.push_str(&format!("        free(p{base});\n"));
+        }
+    }
+    format!(
+        "int sink(int x) {{ return x + 1; }}\n\
+         int run(int n) {{\n\
+        \x20       int *p0 = (int *)malloc({LEN} * sizeof(int));\n\
+        \x20       int *p1 = (int *)malloc({LEN} * sizeof(int));\n\
+        \x20       p0[0] = n;\n\
+        \x20       p1[0] = n + 1;\n\
+        \x20       int s = 0;\n\
+         {body}\
+        \x20       return s;\n\
+         }}\n"
+    )
+}
+
+fn ops_strategy() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
+    prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..24)
+}
+
+fn assert_check_runs_agree(ops: &[Op]) {
+    let source = build_source(ops);
+    // The check-heavy backends plus the temporal ones whose detections
+    // depend on re-consulting allocator state at every access — exactly
+    // the ones a skipped check would silence.
+    for kind in [
+        SanitizerKind::EffectiveFull,
+        SanitizerKind::EffectiveBounds,
+        SanitizerKind::AddressSanitizer,
+        SanitizerKind::Memcheck,
+    ] {
+        assert_tiers_agree(&source, kind, &[Value::Int(3)], None);
+    }
+}
+
+proptest! {
+    /// Random orders, bases and offsets with interleaved clobbers: the
+    /// fast tier must keep every detection the slow tier makes.
+    #[test]
+    fn random_check_runs_lose_no_detections(raw in ops_strategy()) {
+        assert_check_runs_agree(&decode_ops(raw, false));
+    }
+
+    /// The same programs with offsets made monotone per run — runs of
+    /// checks that each cover the next — must also stay faithful.
+    #[test]
+    fn monotone_check_runs_lose_no_detections(raw in ops_strategy()) {
+        assert_check_runs_agree(&decode_ops(raw, true));
     }
 }
