@@ -17,7 +17,7 @@
 //! The worker side of a session ([`crate::worker`]) reads its peer
 //! through a pump too, for the same reason.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::process::{Child, ChildStdin};
 use std::sync::{mpsc, Arc};
@@ -43,6 +43,18 @@ pub fn token_from_env() -> Option<String> {
 /// Cadence of worker heartbeats (pipe and TCP alike) while a shard
 /// executes.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(500);
+
+/// Ready a TCP socket entering the protocol and return a second handle
+/// to it, so one handle can read while the other writes.  Turns
+/// `TCP_NODELAY` on: together with one write per frame
+/// ([`wire::write_frame`]) that keeps a frame's tail from waiting out the
+/// peer's delayed ACK.  Every protocol socket passes through here — both
+/// ends of every client, worker and registration connection.  A socket
+/// that refuses the option still speaks the protocol, only slower.
+pub(crate) fn protocol_handle(stream: &TcpStream) -> std::io::Result<TcpStream> {
+    let _ = stream.set_nodelay(true);
+    stream.try_clone()
+}
 
 /// A reader thread pumping protocol lines into a channel, so the consumer
 /// can apply per-read deadlines with `recv_timeout` regardless of whether
@@ -136,8 +148,13 @@ impl LinePump {
 
 /// A bidirectional line carrier for one protocol peer.
 pub trait Transport: Send {
-    /// Send one line (terminator added, flushed).
-    fn send_line(&mut self, line: &str) -> Result<(), WireError>;
+    /// Send `lines` as one frame: terminators added, one write, flushed
+    /// ([`wire::write_frame`]).
+    fn send_frame(&mut self, lines: &[String]) -> Result<(), WireError>;
+    /// Send one line (terminator added, flushed): a one-line frame.
+    fn send_line(&mut self, line: &str) -> Result<(), WireError> {
+        self.send_frame(&[line.to_string()])
+    }
     /// Receive one line within `timeout` (`None` = block); `Ok(None)` at
     /// end of stream.
     fn recv_line(&mut self, timeout: Option<Duration>) -> Result<Option<String>, WireError>;
@@ -176,17 +193,15 @@ impl PipeTransport {
 }
 
 impl Transport for PipeTransport {
-    fn send_line(&mut self, line: &str) -> Result<(), WireError> {
+    fn send_frame(&mut self, lines: &[String]) -> Result<(), WireError> {
         let Some(stdin) = self.stdin.as_mut() else {
             return Err(WireError::Io {
                 message: "worker stdin already closed".to_string(),
             });
         };
-        writeln!(stdin, "{line}")
-            .and_then(|()| stdin.flush())
-            .map_err(|e| WireError::Io {
-                message: e.to_string(),
-            })
+        wire::write_frame(stdin, lines).map_err(|e| WireError::Io {
+            message: e.to_string(),
+        })
     }
 
     fn recv_line(&mut self, timeout: Option<Duration>) -> Result<Option<String>, WireError> {
@@ -252,10 +267,11 @@ impl TcpTransport {
         TcpTransport::from_stream(stream, addr.to_string())
     }
 
-    /// Wrap an already established stream (the daemon's accepted worker
-    /// and client connections go through here).
+    /// Wrap an already established stream, with `TCP_NODELAY` on.
+    /// [`TcpTransport::connect`] ends here, and so do the daemon's
+    /// registered-worker connections.
     pub fn from_stream(stream: TcpStream, peer: String) -> Result<TcpTransport, WireError> {
-        let reader = stream.try_clone().map_err(|e| WireError::Io {
+        let reader = protocol_handle(&stream).map_err(|e| WireError::Io {
             message: format!("cloning stream to {peer}: {e}"),
         })?;
         Ok(TcpTransport {
@@ -267,12 +283,10 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send_line(&mut self, line: &str) -> Result<(), WireError> {
-        writeln!(self.stream, "{line}")
-            .and_then(|()| self.stream.flush())
-            .map_err(|e| WireError::Io {
-                message: format!("writing to {}: {e}", self.peer),
-            })
+    fn send_frame(&mut self, lines: &[String]) -> Result<(), WireError> {
+        wire::write_frame(&mut self.stream, lines).map_err(|e| WireError::Io {
+            message: format!("writing to {}: {e}", self.peer),
+        })
     }
 
     fn recv_line(&mut self, timeout: Option<Duration>) -> Result<Option<String>, WireError> {
@@ -442,11 +456,9 @@ impl WorkerConn {
         let result = (|| -> Result<Hello, String> {
             let mut opening = vec![wire::HANDSHAKE.to_string()];
             opening.extend(token.map(wire::encode_auth));
-            for line in &opening {
-                transport
-                    .send_line(line)
-                    .map_err(|e| format!("handshake write: {e}"))?;
-            }
+            transport
+                .send_frame(&opening)
+                .map_err(|e| format!("handshake write: {e}"))?;
             let mut lines = DeadlineLines::new(transport.as_mut(), None, silence);
             let next = |lines: &mut DeadlineLines, what: &str| match lines.next_line() {
                 Ok(Some(line)) => Ok(line),
@@ -645,10 +657,9 @@ fn connect_with_retry(addr: &str, options: &ClientOptions) -> Result<TcpTranspor
 /// handshake + token exchange.
 fn client_connect(addr: &str, options: &ClientOptions) -> Result<TcpTransport, ClientError> {
     let mut transport = connect_with_retry(addr, options)?;
-    transport.send_line(wire::HANDSHAKE)?;
-    if let Some(token) = options.token.as_deref() {
-        transport.send_line(&wire::encode_auth(token))?;
-    }
+    let mut opening = vec![wire::HANDSHAKE.to_string()];
+    opening.extend(options.token.as_deref().map(wire::encode_auth));
+    transport.send_frame(&opening)?;
     match transport.recv_line(None)? {
         Some(line) => wire::check_handshake(&line)?,
         None => {
@@ -730,10 +741,7 @@ fn sweep_once<F: FnMut(usize, &SpecRow)>(
     mut on_row: F,
 ) -> Result<SweepOutcome, ClientError> {
     let mut transport = client_connect(addr, options)?;
-    let sent = wire::encode_request(request)
-        .iter()
-        .try_for_each(|line| transport.send_line(line));
-    if let Err(e) = sent {
+    if let Err(e) = transport.send_frame(&wire::encode_request(request)) {
         // The daemon may have rejected this connection (authfail, busy)
         // and closed while the request was still being written; the
         // structured frame beats the raw broken pipe when it survived.
@@ -890,7 +898,7 @@ pub fn client_shutdown(addr: &str, options: &ClientOptions) -> Result<(), Client
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
 
     #[test]
@@ -913,6 +921,21 @@ mod tests {
             .expect("second read");
         assert_eq!(line.as_deref(), Some("late-line"));
         writer.join().expect("writer thread");
+    }
+
+    #[test]
+    fn tcp_transports_run_with_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let dialled = TcpTransport::connect(
+            &listener.local_addr().expect("addr").to_string(),
+            Some(Duration::from_secs(5)),
+        )
+        .expect("connect");
+        let (accepted, peer) = listener.accept().expect("accept");
+        assert!(!accepted.nodelay().expect("nodelay"), "off by default");
+        let accepted = TcpTransport::from_stream(accepted, peer.to_string()).expect("wrap");
+        assert!(dialled.stream.nodelay().expect("nodelay"));
+        assert!(accepted.stream.nodelay().expect("nodelay"));
     }
 
     #[test]

@@ -75,7 +75,9 @@ use workloads::{Scale, SpecBenchmark};
 
 use crate::backoff::{Backoff, BACKOFF_BASE, BACKOFF_CAP};
 use crate::coordinator::WorkerLaunch;
-use crate::net::{token_from_env, AttemptError, PipeTransport, TcpTransport, WorkerConn};
+use crate::net::{
+    protocol_handle, token_from_env, AttemptError, PipeTransport, TcpTransport, WorkerConn,
+};
 use crate::shard::{merge_experiment, plan_shards, MergeError, Shard};
 use crate::wire::{self, IoLines, LineSource, ServiceEvent, ShardSpec, SweepRequest};
 
@@ -247,13 +249,14 @@ struct Board {
     in_flight: usize,
     /// `(req_id, benchmark)` → the worker slot that claimed the pair.
     affinity: HashMap<(u64, String), usize>,
-    /// Live requests' result channels, keyed by request id.
+    /// Live requests' result channels, keyed by request id.  A request
+    /// is live exactly while it is in here: `submit` inserts it under the
+    /// lock that queues its jobs, `cancel` removes it, and a job of a
+    /// request no longer here (re-queued after its client vanished or
+    /// its sweep failed) is dropped instead of run.
     requests: HashMap<u64, mpsc::Sender<JobOutcome>>,
     /// Live requests' job progress, keyed by request id.
     progress: HashMap<u64, Progress>,
-    /// Requests whose client vanished or whose sweep already failed:
-    /// their queued shards are dropped instead of run.
-    cancelled: HashSet<u64>,
 }
 
 /// Why the admission gate turned one incoming request away.
@@ -565,7 +568,7 @@ impl Scheduler {
         loop {
             while let Some(idx) = Self::pick(&board, slot) {
                 let job = board.queue.remove(idx).expect("picked index in range");
-                if board.cancelled.contains(&job.req_id) {
+                if !board.requests.contains_key(&job.req_id) {
                     continue;
                 }
                 let prior = board
@@ -814,7 +817,6 @@ impl Scheduler {
 
     fn cancel(&self, req_id: u64) {
         let mut board = self.lock_board();
-        board.cancelled.insert(req_id);
         board.requests.remove(&req_id);
         board.progress.remove(&req_id);
         board.queue.retain(|job| job.req_id != req_id);
@@ -1015,18 +1017,11 @@ impl Scheduler {
     /// request (or answer a `stats` / `shutdown` control frame), enqueue
     /// its shards, merge and stream rows as benchmarks complete.
     fn client_loop(&self, stream: TcpStream, req_id: u64) {
-        let mut write_half = match stream.try_clone() {
+        let mut write_half = match protocol_handle(&stream) {
             Ok(w) => w,
             Err(_) => return,
         };
-        let mut send = |lines: &[String]| -> bool {
-            for line in lines {
-                if writeln!(write_half, "{line}").is_err() {
-                    return false;
-                }
-            }
-            write_half.flush().is_ok()
-        };
+        let mut send = |lines: &[String]| wire::write_frame(&mut write_half, lines).is_ok();
         let mut lines = IoLines::new(BufReader::new(stream));
         if !send(&[wire::HANDSHAKE.to_string()]) {
             return;
@@ -1374,10 +1369,7 @@ fn serve_loop(scheduler: &Scheduler, listener: TcpListener, registrations: Optio
                                         panic_message(payload.as_ref())
                                     ),
                                 };
-                                for line in wire::encode_service_event(&event) {
-                                    let _ = writeln!(w, "{line}");
-                                }
-                                let _ = w.flush();
+                                let _ = wire::write_frame(w, &wire::encode_service_event(&event));
                             }
                         }
                         eprintln!("sweep serve: client {peer} disconnected (request id {req_id})");
@@ -1533,6 +1525,9 @@ mod tests {
         assert_eq!(stats.pending_requests, 0, "no result channel registered");
         assert_eq!(stats.rejected_busy, 0);
 
+        // Only a live request's jobs run: register request 1 first.
+        let (tx, _rx) = mpsc::channel();
+        s.lock_board().requests.insert(1, tx);
         let first = s.next_for(0).expect("queued job");
         assert_eq!(first.shard.benchmark, "mcf", "unclaimed job first");
         assert_eq!(s.telemetry(0).steals.get(), 0);
@@ -1562,9 +1557,42 @@ mod tests {
             7,
             JobOutcome::Failed(RequestFailure::Stranded("gone".to_string())),
         );
-        let board = s.lock_board();
-        assert!(board.cancelled.contains(&7));
-        assert!(board.queue.is_empty());
+        assert!(s.lock_board().queue.is_empty());
+        // An attempt of the cancelled request that fails afterwards is
+        // re-queued, but never handed to a worker: the next job out is
+        // the live request's, and the cancelled one is gone.
+        s.finish_failure(
+            0,
+            job(7, "mcf"),
+            true,
+            AttemptError::Failed("worker died".to_string()),
+        );
+        let (tx, _rx) = mpsc::channel();
+        s.lock_board().requests.insert(8, tx);
+        s.lock_board().queue.push_back(job(8, "gcc"));
+        let next = s.next_for(0).expect("the live request's job");
+        assert_eq!((next.req_id, next.shard.benchmark.as_str()), (8, "gcc"));
+        assert!(s.lock_board().queue.is_empty());
+    }
+
+    #[test]
+    fn client_connections_run_with_nodelay() {
+        let s = scheduler();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let probe = stream.try_clone().expect("clone");
+        assert!(!probe.nodelay().expect("nodelay"), "off by default");
+        std::thread::scope(|scope| {
+            scope.spawn(|| s.client_loop(stream, 0));
+            // The daemon greets first; by then its socket is set up.
+            let mut greeting = String::new();
+            std::io::BufRead::read_line(&mut BufReader::new(&client), &mut greeting)
+                .expect("handshake");
+            assert_eq!(greeting.trim_end(), wire::HANDSHAKE);
+            assert!(probe.nodelay().expect("nodelay"));
+            drop(client);
+        });
     }
 
     #[test]
@@ -1645,8 +1673,10 @@ mod tests {
     #[test]
     fn shutdown_drains_the_queue_then_parks_the_fleet() {
         let s = scheduler();
+        let (tx, _rx) = mpsc::channel();
         {
             let mut board = s.lock_board();
+            board.requests.insert(1, tx);
             board.queue.push_back(job(1, "mcf"));
         }
         s.initiate_shutdown();

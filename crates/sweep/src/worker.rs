@@ -28,7 +28,7 @@ use san_api::SanitizerKind;
 
 use crate::backoff::{Backoff, BACKOFF_BASE, BACKOFF_CAP};
 use crate::chaos::{Chaos, LineFate};
-use crate::net::{token_from_env, LinePump, HEARTBEAT_INTERVAL};
+use crate::net::{protocol_handle, token_from_env, LinePump, HEARTBEAT_INTERVAL};
 use crate::wire::{self, AuthGate, Command, Hello, LineSource, Reply, ShardSpec, WireError};
 
 /// How long a token-bearing worker waits for the peer's `auth` frame
@@ -174,33 +174,49 @@ impl SessionOutput for &TcpStream {
     }
 }
 
-/// Write a block of protocol lines atomically (one lock, one flush) so a
-/// concurrent heartbeat can interleave between blocks but never inside
-/// one.
-///
-/// This is the writer-side chaos seam ([`crate::chaos`]): with
-/// `SWEEP_CHAOS` armed, a line may be delayed (a late heartbeat looks
-/// exactly like a slow worker) or the connection severed after a random
-/// prefix of the line — a mid-block, mid-line truncation from the
-/// peer's point of view.
+/// Write a block of protocol lines atomically (one lock, one
+/// [`wire::write_frame`]) so a concurrent heartbeat can interleave
+/// between blocks but never inside one.
 fn send_block<W: SessionOutput>(writer: &Mutex<W>, lines: &[String]) -> bool {
     let mut out = writer.lock().expect("worker writer lock");
-    for line in lines {
-        match Chaos::global().map(|plan| plan.fate(line.len())) {
+    write_block(&mut *out, lines, Chaos::global())
+}
+
+/// The body of [`send_block`], with the chaos plan passed in.
+///
+/// This is the writer-side chaos seam ([`crate::chaos`]): with a plan
+/// armed, a line may be delayed (a late heartbeat looks exactly like a
+/// slow worker) or the connection severed after a random prefix of the
+/// line — a mid-block, mid-line truncation from the peer's point of
+/// view.  The lines before a delay or a cut go out as one frame first,
+/// so an armed plan delivers the same bytes, in the same order and with
+/// the same pauses, as writing line by line would.
+fn write_block<W: SessionOutput + ?Sized>(
+    out: &mut W,
+    lines: &[String],
+    chaos: Option<&Chaos>,
+) -> bool {
+    let mut pending = 0;
+    for (i, line) in lines.iter().enumerate() {
+        match chaos.map(|plan| plan.fate(line.len())) {
             Some(LineFate::Drop { keep_bytes }) => {
+                let _ = wire::write_frame(out, &lines[pending..i]);
                 let _ = out.write_all(&line.as_bytes()[..keep_bytes]);
                 let _ = out.flush();
                 out.sever();
                 return false;
             }
-            Some(LineFate::DeliverAfter(wait)) => std::thread::sleep(wait),
+            Some(LineFate::DeliverAfter(wait)) => {
+                if wire::write_frame(out, &lines[pending..i]).is_err() {
+                    return false;
+                }
+                pending = i;
+                std::thread::sleep(wait);
+            }
             Some(LineFate::Deliver) | None => {}
         }
-        if writeln!(out, "{line}").is_err() {
-            return false;
-        }
     }
-    out.flush().is_ok()
+    wire::write_frame(out, &lines[pending..]).is_ok()
 }
 
 /// [`LineSource`] over a [`LinePump`], each read bounded by `timeout`
@@ -349,9 +365,10 @@ pub fn run_stdio() -> i32 {
 }
 
 /// Serve one peer over a TCP connection, then close it (which also ends
-/// the session's reader thread).
+/// the session's reader thread).  Both `--listen` and `--join` sessions
+/// come through here, with `TCP_NODELAY` on ([`protocol_handle`]).
 fn serve_stream(stream: TcpStream, token: Option<&str>) -> i32 {
-    let Ok(read_half) = stream.try_clone() else {
+    let Ok(read_half) = protocol_handle(&stream) else {
         return 2;
     };
     let code = session(BufReader::new(read_half), &stream, token);
@@ -661,6 +678,171 @@ mod tests {
             let networked = timeless(serve_over_tcp(&input, token));
             assert_eq!(piped, networked, "token {token:?}, input:\n{input}");
         }
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: Vec<Vec<u8>>,
+        severed: bool,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SessionOutput for CountingWrite {
+        fn sever(&mut self) {
+            self.severed = true;
+        }
+    }
+
+    /// One frame of each kind the protocol sends in a burst: a client's
+    /// request block, a worker's reply block, the daemon's stats block,
+    /// and a token-bearing handshake + `auth` opening.
+    fn sample_frames() -> Vec<Vec<String>> {
+        let spec = ShardSpec {
+            id: 3,
+            chunk: 1,
+            scale: Scale::Test,
+            parallelism: Parallelism::Sequential,
+            benchmark: "mcf".to_string(),
+            backends: vec![SanitizerKind::None],
+        };
+        let request = wire::SweepRequest {
+            scale: Scale::Test,
+            parallelism: Parallelism::Parallel,
+            benchmarks: vec!["mcf".to_string(), "gcc".to_string()],
+            backends: vec![SanitizerKind::None, SanitizerKind::EffectiveFull],
+        };
+        let stats = wire::ServiceStats {
+            queued_jobs: 2,
+            clients_total: 5,
+            requests_total: 4,
+            pending_requests: 1,
+            workers: vec![wire::WorkerStats {
+                slot: 0,
+                addr: "127.0.0.1:7601".to_string(),
+                live: true,
+                registered: false,
+                busy: true,
+                queued: 2,
+                completed: 9,
+                failed: 1,
+                steals: 0,
+                heartbeat_gap_us: obs::HistSummary::default(),
+                shard_latency_us: obs::HistSummary::default(),
+            }],
+            requests: vec![wire::RequestProgress {
+                req_id: 3,
+                benchmarks: 2,
+                jobs_total: 4,
+                jobs_done: 2,
+                jobs_queued: 2,
+            }],
+            ..wire::ServiceStats::default()
+        };
+        vec![
+            wire::encode_request(&request),
+            wire::encode_reply(&run_shard(&spec)),
+            wire::encode_stats(&stats),
+            vec![wire::HANDSHAKE.to_string(), wire::encode_auth("s3cret")],
+        ]
+    }
+
+    /// The bytes a frame made when each line was its own `writeln!`.
+    fn line_by_line(lines: &[String]) -> (Vec<u8>, usize) {
+        let mut out = CountingWrite::default();
+        for line in lines {
+            writeln!(out, "{line}").unwrap();
+        }
+        (out.writes.concat(), out.writes.len())
+    }
+
+    #[test]
+    fn every_frame_leaves_in_one_write_with_unchanged_bytes() {
+        for lines in sample_frames() {
+            assert!(lines.len() > 1, "a burst frame: {lines:?}");
+            let (expected, line_writes) = line_by_line(&lines);
+            // Line by line, every line was its text then its terminator.
+            assert_eq!(line_writes, 2 * lines.len());
+            let mut out = CountingWrite::default();
+            assert!(write_block(&mut out, &lines, None));
+            assert_eq!(out.writes.len(), 1, "{lines:?}");
+            assert_eq!(out.writes[0], expected);
+            // Every other writer goes through the same frame writer.
+            let mut out = CountingWrite::default();
+            wire::write_frame(&mut out, &lines).unwrap();
+            assert_eq!(out.writes, vec![expected]);
+        }
+    }
+
+    #[test]
+    fn armed_chaos_delivers_the_per_line_seam_bytes() {
+        let spec = "drop:0.01,stall:1ms,seed:4";
+        let frames: Vec<Vec<String>> = (0..20).flat_map(|_| sample_frames()).collect();
+        // The seam as it ran line by line: each line meets its fate,
+        // then goes out whole — or only its prefix, and the stream ends.
+        let plan = Chaos::parse(spec).unwrap();
+        let (mut expected, mut stalls, mut cut_mid_line) = (Vec::new(), 0, false);
+        'frames: for line in frames.iter().flatten() {
+            match plan.fate(line.len()) {
+                LineFate::Drop { keep_bytes } => {
+                    expected.extend_from_slice(&line.as_bytes()[..keep_bytes]);
+                    cut_mid_line = keep_bytes > 0;
+                    break 'frames;
+                }
+                LineFate::DeliverAfter(_) => stalls += 1,
+                LineFate::Deliver => {}
+            }
+            expected.extend_from_slice(line.as_bytes());
+            expected.push(b'\n');
+        }
+        assert!(
+            stalls > 0 && cut_mid_line,
+            "seed must stall and cut a line mid-way"
+        );
+
+        let plan = Chaos::parse(spec).unwrap();
+        let mut out = CountingWrite::default();
+        let mut sent = 0;
+        while frames
+            .get(sent)
+            .is_some_and(|lines| write_block(&mut out, lines, Some(&plan)))
+        {
+            sent += 1;
+        }
+        assert!(sent < frames.len(), "the plan severs the stream");
+        assert!(out.severed);
+        assert_eq!(out.writes.concat(), expected);
+        // A frame splits only where the plan paused or cut it.
+        assert!(out.writes.len() <= sent + 1 + stalls + 1);
+    }
+
+    #[test]
+    fn tcp_sessions_run_with_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let probe = stream.try_clone().expect("clone");
+        assert!(!probe.nodelay().expect("nodelay"), "off by default");
+        let worker = std::thread::spawn(move || serve_stream(stream, None));
+        // The worker greets first; by then its socket is set up.
+        let mut greeting = String::new();
+        BufReader::new(&client)
+            .read_line(&mut greeting)
+            .expect("handshake");
+        assert_eq!(greeting.trim_end(), wire::HANDSHAKE);
+        assert!(probe.nodelay().expect("nodelay"));
+        drop(client);
+        worker.join().expect("worker thread");
     }
 
     /// A reader that yields `opening`, then blocks — a peer that stays

@@ -10,18 +10,26 @@
 //! its shard re-queued onto the surviving fleet, and two clients sweeping
 //! one daemon concurrently both receive byte-identical merged results.
 //!
+//! A last guard times the daemon's request path over loopback: with a
+//! frame split across writes and Nagle's algorithm on, every exchange
+//! waits out the peer's delayed ACK (about 40 ms), which a few dozen tiny
+//! requests turn into a second of wall time.
+//!
 //! (Registered on the `sweep` crate so `CARGO_BIN_EXE_sweep_worker` and
 //! `CARGO_BIN_EXE_sweep` resolve to the binaries under test.)
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use effective_san::{spec_experiment, Parallelism, SpecExperiment};
 use san_api::SanitizerKind;
 use sweep::coordinator::{ShardStrategy, SweepConfig, WorkerLaunch};
 use sweep::worker::CRASH_BENCH_ENV;
-use sweep::{client_sweep, diff_experiments, sharded_spec_experiment, SweepRequest};
+use sweep::{
+    client_stats_with, client_sweep, client_sweep_with, diff_experiments, sharded_spec_experiment,
+    ClientOptions, SweepRequest,
+};
 use workloads::Scale;
 
 const BENCHMARKS: [&str; 2] = ["h264ref", "xalancbmk"];
@@ -253,4 +261,45 @@ fn two_concurrent_daemon_clients_stream_byte_identical_results() {
         Parallelism::Parallel,
     );
     assert_identical("streamed vs in-process", &first, &in_process);
+}
+
+#[test]
+fn tiny_daemon_requests_do_not_wait_out_delayed_acks() {
+    let worker = spawn_worker(&[]);
+    let daemon = spawn_daemon(&[&worker]);
+    let options = ClientOptions::default();
+    let request = SweepRequest {
+        scale: Scale::Test,
+        parallelism: Parallelism::Sequential,
+        benchmarks: vec!["mcf".into()],
+        backends: vec![SanitizerKind::None],
+    };
+    // Warm up: the daemon's first session with its worker and the
+    // first run of the benchmark are not what this guards.
+    client_sweep_with(&daemon.addr, &options, &request, |_, _| {}).expect("warm-up sweep");
+
+    // Each request pays a few loopback round trips and, for a sweep, one
+    // tiny shard; a frame stalled behind a delayed ACK costs ~40 ms.
+    // Stall-free, the probes take ~30 ms and the sweeps ~60-110 ms in a
+    // debug build on a 2-core box; with the stalls, ~930 and ~960 ms.
+    // The bounds sit several times above the first and well below one
+    // stall per request.
+    let started = Instant::now();
+    for _ in 0..20 {
+        client_stats_with(&daemon.addr, &options).expect("stats probe");
+    }
+    let probes = started.elapsed();
+    let started = Instant::now();
+    for _ in 0..10 {
+        client_sweep_with(&daemon.addr, &options, &request, |_, _| {}).expect("tiny sweep");
+    }
+    let sweeps = started.elapsed();
+    assert!(
+        probes < Duration::from_millis(400),
+        "20 stats probes took {probes:?}"
+    );
+    assert!(
+        sweeps < Duration::from_millis(500),
+        "10 one-cell sweeps took {sweeps:?}"
+    );
 }
